@@ -119,6 +119,9 @@ class DiagnosisCampaign:
         #: instead of the closed-form effective mode.  Exact but
         #: ``O(k * n * c)`` -- intended for small geometries.
         self.baseline_bit_accurate = baseline_bit_accurate
+        #: Per-bank-position faults as sampled: never attached, only
+        #: cloned (see :meth:`faulty_bank`).
+        self._pristine: list[list[Fault]] | None = None
 
     def _default_sampler(self, index: int, memory: SRAM) -> list[Fault]:
         """Uniform-rate population, seeded per bank position."""
@@ -132,21 +135,24 @@ class DiagnosisCampaign:
     def faulty_bank(self) -> tuple["MemoryBank", FaultInjector]:
         """Build a fresh bank with this campaign's faults injected.
 
-        Each call materializes new SRAM instances and new fault objects
-        (stateful fault models must not be shared between sessions), so
-        one campaign can drive independent proposed/baseline banks -- or,
-        for multi-session scenario flows, hand the bank out for chained
+        The population is sampled once per campaign, on the first call,
+        and kept pristine: every call materializes new SRAM instances and
+        injects fresh clones of those faults (stateful fault models must
+        not be shared between sessions), so one campaign can drive
+        independent proposed/baseline banks -- or, for multi-session
+        scenario flows, hand the bank out for chained
         diagnose/repair/retest stages.
         """
         bank = self.soc.build_bank()
-        sampler = self.sampler or self._default_sampler
+        if self._pristine is None:
+            sampler = self.sampler or self._default_sampler
+            self._pristine = [
+                sampler(index, memory) for index, memory in enumerate(bank)
+            ]
         injector = FaultInjector()
-        for index, memory in enumerate(bank):
-            injector.inject(memory, sampler(index, memory))
+        for memory, faults in zip(bank, self._pristine):
+            injector.inject(memory, [fault.clone() for fault in faults])
         return bank, injector
-
-    # Backwards-compatible private alias (pre-scenario API).
-    _faulty_bank = faulty_bank
 
     def run(
         self,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.failure_log import FailureLog
 from repro.march.element import MarchElement
 from repro.march.simulator import FailureRecord
 from repro.util.bitops import mask
@@ -25,7 +26,10 @@ class ComparatorArray:
 
     memory_name: str
     memory_bits: int
-    failures: list[FailureRecord] = field(default_factory=list)
+    #: Mismatches of the current session: the records :meth:`compare`
+    #: appended (reference path), or the session's shared
+    #: :class:`~repro.core.failure_log.FailureLog` (vector paths).
+    failures: list[FailureRecord] | FailureLog = field(default_factory=list)
     comparisons: int = 0
 
     def expected_word(
@@ -100,5 +104,5 @@ class ComparatorArray:
 
     def reset(self) -> None:
         """Clear recorded failures (new diagnosis session)."""
-        self.failures.clear()
+        self.failures = []
         self.comparisons = 0

@@ -61,11 +61,10 @@ class RepairController:
         """
         result = RepairResult()
         for memory in self.bank:
-            failing = {f.address for f in report.failures.get(memory.name, [])}
             spare_bank = self.spares[memory.name]
             repaired: set[int] = set()
             exhausted: set[int] = set()
-            for address in sorted(failing):
+            for address in report.failure_log(memory.name).addresses():
                 if spare_bank.allocate(address):
                     repaired.add(address)
                 else:

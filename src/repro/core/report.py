@@ -3,14 +3,18 @@
 A report collects every failure the comparator array registered, exposes
 the localized cells, and -- given the ground-truth injector -- scores
 detection and localization per fault, which is what the evaluation
-experiments (E5, E6) consume.
+experiments (E5, E6) consume.  Scoring reads each memory's
+:class:`~repro.core.failure_log.FailureLog` cell ids, never the records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
+from repro.core.failure_log import FailureLog
 from repro.ecc.observer import EccMemorySummary
+from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
 from repro.march.simulator import FailureRecord
 from repro.memory.geometry import CellRef
@@ -39,7 +43,11 @@ class ProposedReport(Record):
     period_ns: float
     cycles: int = 0
     pause_ns: float = 0.0
-    failures: dict[str, list[FailureRecord]] = field(default_factory=dict)
+    #: Per-memory failing reads: a :class:`FailureLog` from every session
+    #: path (a plain record list is accepted too).
+    failures: dict[str, FailureLog | list[FailureRecord]] = field(
+        default_factory=dict
+    )
     deliveries: int = 0
     nwrc_ops: int = 0
     #: True when a go/no-go session stopped before running every element.
@@ -90,12 +98,22 @@ class ProposedReport(Record):
             return 0
         return sum(s.uncorrectable_reads for s in self.ecc.values())
 
+    def failure_log(self, memory_name: str) -> FailureLog:
+        """One memory's failures as a log (record lists get wrapped).
+
+        A wrapped record list strides its cell ids by the controller
+        width, which is at least every memory's own width.
+        """
+        failures = self.failures.get(memory_name, [])
+        if isinstance(failures, FailureLog):
+            return failures
+        return FailureLog.from_records(memory_name, self.controller_bits, failures)
+
     def detected_cells(self, memory_name: str) -> set[CellRef]:
         """Cells implicated by failures in one memory."""
-        cells: set[CellRef] = set()
-        for failure in self.failures.get(memory_name, []):
-            cells.update(failure.failing_cells())
-        return cells
+        log = self.failure_log(memory_name)
+        bits = log.bits
+        return {CellRef(*divmod(cell, bits)) for cell in log.cell_ids()}
 
     def failing_memories(self) -> list[str]:
         """Names of memories with at least one failure."""
@@ -110,30 +128,44 @@ class ProposedReport(Record):
         (address, bit) coordinates, so detection and localization coincide
         (unlike the serial baselines).
         """
-        scores = []
-        for name in injector.memories():
-            reported = self.detected_cells(name)
-            for fault in injector.faults_for(name):
-                hit = bool(reported & set(fault.victims))
-                scores.append(
-                    FaultScore(
-                        memory_name=name,
-                        description=fault.describe(),
-                        fault_class=fault.fault_class.value,
-                        detected=hit,
-                        localized=hit,
-                    )
-                )
-        return scores
+        return [
+            FaultScore(
+                memory_name=name,
+                description=fault.describe(),
+                fault_class=fault.fault_class.value,
+                detected=hit,
+                localized=hit,
+            )
+            for name, fault, hit in self._victim_hits(injector)
+        ]
 
     def localization_rate(self, injector: FaultInjector, fault_filter=None) -> float:
         """Fraction of injected faults whose victims were localized."""
-        scores = self.score_against(injector)
-        if fault_filter is not None:
-            scores = [s for s in scores if fault_filter(s)]
-        if not scores:
+        if fault_filter is None:
+            hits = [hit for _, _, hit in self._victim_hits(injector)]
+        else:
+            scores = self.score_against(injector)
+            hits = [score.localized for score in scores if fault_filter(score)]
+        if not hits:
             return 1.0
-        return sum(1 for s in scores if s.localized) / len(scores)
+        return sum(hits) / len(hits)
+
+    def _victim_hits(
+        self, injector: FaultInjector
+    ) -> Iterator[tuple[str, Fault, bool]]:
+        """``(memory, fault, any victim cell failed)`` per injected fault."""
+        for name in injector.memories():
+            log = self.failure_log(name)
+            cells = set(log.cell_ids())
+            bits = log.bits
+            for fault in injector.faults_for(name):
+                # ``bit < bits``: an out-of-width victim must not alias
+                # the next word's cell id.
+                hit = any(
+                    victim.bit < bits and victim.word * bits + victim.bit in cells
+                    for victim in fault.victims
+                )
+                yield name, fault, hit
 
     def localized_cells(self, memory_name: str) -> list["LocalizedCell"]:
         """Per-cell localization evidence, strongest first.

@@ -24,6 +24,7 @@ from repro.core.address_trigger import AddressTrigger
 from repro.core.background_gen import DataBackgroundGenerator
 from repro.core.comparator import ComparatorArray
 from repro.core.control_gen import ControlGenerator
+from repro.core.failure_log import FailureLog
 from repro.core.nwrtm import NwrtmController
 from repro.core.psc import ParallelToSerialConverter
 from repro.core.report import ProposedReport
@@ -171,8 +172,8 @@ class FastDiagnosisScheme:
                 break
 
         for memory in self.bank:
-            report.failures[memory.name] = list(
-                self.comparators[memory.name].failures
+            report.failures[memory.name] = FailureLog.from_records(
+                memory.name, memory.bits, self.comparators[memory.name].failures
             )
         report.nwrc_ops = self.nwrtm.nwrc_ops
         report.deliveries = self.background_gen.deliveries

@@ -131,6 +131,21 @@ class BucketEcc:
         return ~outcome.masked, bits
 
 
+def apply_corrections(observed, corrected_bit):
+    """Flip each row's corrected data bit (``-1`` = none) in ``observed``.
+
+    ``observed`` is the caller's own ``(n, lanes)`` uint64 copy of the
+    mismatching reads; the result is the post-correction words the
+    comparator sees.  Rows the decoder fully masked still need dropping
+    by the ``keep`` filter.
+    """
+    rows = np.nonzero(corrected_bit >= 0)[0]
+    if rows.size:
+        bits = corrected_bit[rows]
+        observed[rows, bits >> 6] ^= np.uint64(1) << (bits & 63).astype(np.uint64)
+    return observed
+
+
 def decode_mismatches(observer, addresses, error) -> tuple:
     """Bulk-decode mismatching rows, recording every event.
 

@@ -144,6 +144,7 @@ class NumpyBackend(MarchBackend):
         from repro.engine.kernel import (
             ElementPlan,
             OpPlan,
+            SessionHits,
             pack_memory,
             run_element,
             sync_clean_rows,
@@ -157,11 +158,14 @@ class NumpyBackend(MarchBackend):
         state, clean_mask, dirty_mask, lanes = pack_memory(memory)
 
         result = MarchResult(algorithm.name, memory.name)
+        hits = SessionHits(lanes)
+        plans: list = []
         start_cycles = memory.timebase.cycles
         start_ns = memory.now_ns
         for step_index, step in enumerate(algorithm.steps):
             if isinstance(step, PauseStep):
                 memory.pause(step.duration_ns)
+                plans.append(step)
                 continue
             element = step.element
             ops = tuple(
@@ -184,11 +188,11 @@ class NumpyBackend(MarchBackend):
                 sweep_length=words,
                 ops=ops,
             )
-            result.failures.extend(
-                run_element(memory, state, clean_mask, dirty_mask, plan, lanes)
-            )
+            plans.append(plan)
+            run_element(memory, state, clean_mask, dirty_mask, plan, lanes, hits)
 
         sync_clean_rows(memory, state, clean_mask)
+        result.failures = hits.logs([memory.name], bits, plans)[0].records()
         result.cycles = memory.timebase.cycles - start_cycles
         result.elapsed_ns = memory.now_ns - start_ns
         return result

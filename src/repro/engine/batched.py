@@ -47,19 +47,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.core.failure_log import FailureLog
 from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
-from repro.ecc.vector import BucketEcc
+from repro.ecc.vector import BucketEcc, apply_corrections
 from repro.engine.backends import NumpyBackend, register_backend, vector_capable
 from repro.engine.fault_table import TableEvaluator, lower_bucket
 from repro.engine.kernel import (
     CleanWordTracker,
     ElementPlan,
-    _record,
+    SessionHits,
     replay_dirty_positions,
     sync_clean_rows,
 )
-from repro.engine.packing import lanes_to_word, np, pack_bank, word_to_lanes
+from repro.engine.packing import np, pack_bank, word_to_lanes
 from repro.engine.session import (
     _run_memory_session,
     begin_session,
@@ -68,7 +69,6 @@ from repro.engine.session import (
     session_step_plans,
 )
 from repro.march.algorithm import PauseStep
-from repro.march.simulator import FailureRecord
 from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
 
@@ -152,8 +152,9 @@ def run_batched_session(scheme: FastDiagnosisScheme) -> ProposedReport:
     """Run one diagnosis session with geometry-bucketed stacked sweeps.
 
     Produces the same :class:`~repro.core.report.ProposedReport` as the
-    reference and per-memory numpy paths, bit for bit (failure records in
-    identical order, cycle and time accounting included).
+    reference and per-memory numpy paths, bit for bit (failure logs whose
+    records come out in identical order, cycle and time accounting
+    included).
     """
     algorithm, report, deliveries, nwrc_ops = begin_session(scheme)
     reads_per_word = algorithm.reads_per_word()
@@ -273,7 +274,7 @@ class _TimedEvaluator:
 
 def _run_bucket_session(
     scheme: FastDiagnosisScheme, memories: list[SRAM], algorithm
-) -> list[list[FailureRecord]]:
+) -> list[FailureLog]:
     """Run every element of the session over one stacked geometry bucket."""
     plans = session_step_plans(scheme, memories[0], algorithm)
     states, _, _, lanes = pack_bank(memories)
@@ -305,7 +306,7 @@ def _run_bucket_session(
         counters.add("bucket.clean_rows", int(lanes_split.clean_masks.sum()))
         if evaluator is not None:
             evaluator = _TimedEvaluator(evaluator, counters)
-    failures: list[list[FailureRecord]] = [[] for _ in memories]
+    hits = SessionHits(lanes)
     tracker = CleanWordTracker()
     for plan in plans:
         if isinstance(plan, PauseStep):
@@ -319,6 +320,7 @@ def _run_bucket_session(
             plan,
             lanes,
             sweep,
+            hits,
             evaluator,
             tracker,
             ecc,
@@ -330,11 +332,9 @@ def _run_bucket_session(
                 step=plan.step_label,
                 memories=len(memories),
             ):
-                member_failures = run_element_batched(*element_args)
+                run_element_batched(*element_args)
         else:
-            member_failures = run_element_batched(*element_args)
-        for member, records in enumerate(member_failures):
-            failures[member].extend(records)
+            run_element_batched(*element_args)
     if lanes_split.table is not None:
         # Multi-session flows (test -> repair -> retest) reuse fault
         # objects: hand the advanced draw counters / decay clocks back so
@@ -343,7 +343,9 @@ def _run_bucket_session(
     vector_masks = lanes_split.vector_masks
     for member, memory in enumerate(memories):
         sync_clean_rows(memory, states[member], vector_masks[member])
-    return failures
+    return hits.logs(
+        [memory.name for memory in memories], memories[0].bits, plans
+    )
 
 
 def run_element_batched(
@@ -353,10 +355,11 @@ def run_element_batched(
     plan: ElementPlan,
     lanes: int,
     sweep_plan: BucketSweep,
+    hits: SessionHits,
     evaluator: "TableEvaluator | None" = None,
     tracker: CleanWordTracker | None = None,
     ecc: "BucketEcc | None" = None,
-) -> list[list[FailureRecord]]:
+) -> None:
     """Execute one element over a same-geometry stack of memories.
 
     ``states`` is the packed ``(n_mem, words, lanes)`` array --
@@ -367,16 +370,15 @@ def run_element_batched(
     bucket session) skips clean compares that provably cannot mismatch.
     ``ecc`` (the bucket's stacked SEC-DED decoder, also held by the
     evaluator) filters clean-path mismatches through the on-die
-    correction before records form.  Returns one reference-ordered
-    failure list per memory, exactly what
-    :func:`repro.engine.kernel.run_element` would produce memory by
-    memory.
+    correction before they become hits.  Every mismatch lands in
+    ``hits`` under its bucket member -- exactly what
+    :func:`repro.engine.kernel.run_element` would add memory by memory.
     """
     words = sweep_plan.words
     sweep = sweep_plan.sweep
     ops = plan.ops
     per_address = plan.per_address_ticks
-    records: list[list[tuple[int, int, FailureRecord]]] = [[] for _ in memories]
+    step = plan.step_index
 
     positions = sweep_plan.positions
     local_rows = sweep_plan.local_rows[plan.ascending]
@@ -415,7 +417,9 @@ def run_element_batched(
             timebase.tick(plan.deliver_ticks)
         base_cycles = timebase.cycles
         if dirty_positions[member]:
-            records[member].extend(
+            hits.add_scalar(
+                member,
+                step,
                 replay_dirty_positions(
                     memory,
                     plan,
@@ -423,7 +427,7 @@ def run_element_batched(
                     base_cycles,
                     per_address,
                     ecc.observers[member] if ecc is not None else None,
-                )
+                ),
             )
         timebase.tick(base_cycles + sweep * per_address - timebase.cycles)
 
@@ -454,7 +458,7 @@ def run_element_batched(
             # A full block visits every row exactly once, so the whole
             # slab can be addressed in natural row order; rows map back
             # to sweep positions through the precomputed offsets only
-            # when a mismatch is recorded.
+            # for mismatching rows.
             offsets = sweep_plan.full_block_offsets[plan.ascending]
             ctx = (
                 evaluator.start_block(plan, block_start, block_end - block_start)
@@ -489,66 +493,43 @@ def run_element_batched(
                             counters.add("clean.compares_skipped", block_clean)
                     if mismatch is not None and mismatch.any():
                         member_hits, row_hits = np.nonzero(mismatch)
-                        keep = corrected = None
+                        if full:
+                            hit_positions = block_start + offsets[row_hits]
+                        else:
+                            hit_positions = block_positions[row_hits]
+                            row_hits = block_rows[row_hits]
+                        observed = states[member_hits, row_hits]
                         if ecc is not None:
-                            hit_rows = (
-                                row_hits if full else block_rows[row_hits]
-                            )
                             keep, corrected = ecc.decode_rows(
-                                member_hits,
-                                hit_rows,
-                                states[member_hits, hit_rows] ^ expected_lanes,
+                                member_hits, row_hits, observed ^ expected_lanes
                             )
-                        for index, (member, hit) in enumerate(
-                            zip(member_hits, row_hits)
-                        ):
-                            if keep is not None and not keep[index]:
-                                continue
-                            member = int(member)
-                            row = int(block_rows[hit]) if not full else int(hit)
-                            position = (
-                                block_start + int(offsets[row])
-                                if full
-                                else int(block_positions[hit])
-                            )
-                            observed = lanes_to_word(states[member, row])
-                            if corrected is not None and corrected[index] >= 0:
-                                observed ^= 1 << int(corrected[index])
-                            records[member].append(
-                                (
-                                    position,
-                                    op_index,
-                                    _record(
-                                        memories[member],
-                                        plan,
-                                        op_plan,
-                                        op_index,
-                                        row,
-                                        expected,
-                                        observed,
-                                    ),
-                                )
-                            )
+                            observed = apply_corrections(observed, corrected)[keep]
+                            member_hits = member_hits[keep]
+                            row_hits = row_hits[keep]
+                            hit_positions = hit_positions[keep]
+                        hits.add(
+                            member_hits,
+                            step,
+                            op_index,
+                            hit_positions,
+                            row_hits,
+                            expected_lanes,
+                            observed,
+                        )
                     if ctx is not None:
                         if expected_lanes is None:
                             expected_lanes = word_to_lanes(expected, lanes)
-                        for member, row, position, observed in evaluator.read_op(
-                            ctx, expected_lanes, op_index
-                        ):
-                            records[member].append(
-                                (
-                                    position,
-                                    op_index,
-                                    _record(
-                                        memories[member],
-                                        plan,
-                                        op_plan,
-                                        op_index,
-                                        row,
-                                        expected,
-                                        observed,
-                                    ),
-                                )
+                        table_hits = evaluator.read_op(ctx, expected_lanes, op_index)
+                        if table_hits is not None:
+                            members, table_rows, table_positions, observed = table_hits
+                            hits.add(
+                                members,
+                                step,
+                                op_index,
+                                table_positions,
+                                table_rows,
+                                expected_lanes,
+                                observed,
                             )
                 else:
                     # Replay rows are never read from the packed state and
@@ -586,10 +567,6 @@ def run_element_batched(
             "lane.clean.words",
             sweep * len(memories) - replay_words - table_words,
         )
-
-    for member_records in records:
-        member_records.sort(key=lambda item: (item[0], item[1]))
-    return [[record for _, _, record in member] for member in records]
 
 
 register_backend("batched", BatchedBackend)

@@ -63,7 +63,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine.packing import lanes_for, lanes_to_word, np
+from repro.ecc.vector import apply_corrections
+from repro.engine.packing import lanes_for, np
 from repro.telemetry.core import tracer as _tracer
 from repro.faults.base import (
     KIND_CF_ID,
@@ -742,14 +743,15 @@ class TableEvaluator:
         every downstream plane sees the flipped cell, and destructive
         reads preserve the flip), intermittent read upsets perturb only
         the observed word.  Commits destructive-read flips to the packed
-        state and returns ``(member, row, position, observed_word)``
-        tuples for every mismatching row, for the caller to turn into
-        failure records.
+        state and returns ``(members, words, positions, observed)``
+        parallel arrays over the mismatching rows (``observed`` as
+        post-correction ``(n, lanes)`` planes), or ``None`` when every
+        row read back as expected.
         """
         table = self.table
         idx = ctx.idx
         if not idx.size:
-            return ()
+            return None
         ret = table.retention
         if ret.size and ctx.ret_in is not None:
             live = ctx.ret_in & np.isfinite(ret.written_at)
@@ -819,34 +821,21 @@ class TableEvaluator:
             self._flat[table.rows_flat[idx]] = stored ^ flips
         mismatch = (observed != expected_lanes).any(axis=1)
         if not mismatch.any():
-            return ()
+            return None
         hit_idx = np.nonzero(mismatch)[0]
         rows = idx[hit_idx]
+        members = table.rows_member[rows]
+        words = table.rows_word[rows]
+        positions = ctx.positions[hit_idx]
+        observed = observed[hit_idx]
         ecc = self._ecc
-        keep = corrected = None
         if ecc is not None:
             keep, corrected = ecc.decode_rows(
-                table.rows_member[rows],
-                table.rows_word[rows],
-                observed[hit_idx] ^ expected_lanes,
+                members, words, observed ^ expected_lanes
             )
-        hits = []
-        for index, hit in enumerate(hit_idx):
-            if keep is not None and not keep[index]:
-                continue
-            row = rows[index]
-            word = lanes_to_word(observed[hit])
-            if corrected is not None and corrected[index] >= 0:
-                word ^= 1 << int(corrected[index])
-            hits.append(
-                (
-                    int(table.rows_member[row]),
-                    int(table.rows_word[row]),
-                    int(ctx.positions[hit]),
-                    word,
-                )
-            )
-        return hits
+            observed = apply_corrections(observed, corrected)[keep]
+            members, words, positions = members[keep], words[keep], positions[keep]
+        return members, words, positions, observed
 
     def _op_now(self, ctx: _BlockContext, op_index: int):
         """Analytic wall clock of op ``op_index`` at each retention entry.

@@ -9,10 +9,14 @@ same SoC shape and defect rate, one derived seed per campaign -- and the
 * campaign seeds derive deterministically from the master seed via
   :func:`repro.util.rng.derive_seed`, so results are identical no matter
   how many workers run or which worker picks up which chunk;
-* campaigns are grouped into chunks that a ``multiprocessing`` pool
-  consumes (``workers <= 1`` runs inline, which is also the fallback when
-  a pool cannot be spawned); the pool is closed and joined on every exit
-  path, including worker failures and consumers abandoning the stream;
+* campaigns are grouped into chunks; with several workers a
+  :class:`~repro.engine.supervisor.ChunkSupervisor` runs each chunk
+  attempt in its own short-lived process, so a chunk that raises, a
+  worker that dies and a chunk past its deadline are all detected,
+  retried with seeded backoff and, once exhausted, raised or
+  quarantined; ``workers <= 1`` (or a single pending chunk) runs inline
+  with the same retry/quarantine handling for exceptions.  Abandoning
+  the stream terminates the supervised workers without draining them;
 * finished chunks stream into a :class:`~repro.engine.aggregate.FleetReport`
   in campaign order (out-of-order chunks are buffered briefly), keeping
   aggregation deterministic and memory bounded;

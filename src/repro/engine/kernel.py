@@ -22,8 +22,11 @@ cost.  This module runs that structure *bit-exactly* but vectorized:
   (retention decay, coupling, read-destructive) observe identical times
   and orderings.
 
-Failure records from both populations are merged back into the reference's
-address-major order, so result equality is exact down to list order.
+Mismatches from both populations land in one :class:`SessionHits`
+accumulator per session, which sorts them once into the reference's
+address-major order and hands each memory a columnar
+:class:`~repro.core.failure_log.FailureLog` -- result equality is exact
+down to record order, without building a record per failing read.
 """
 
 from __future__ import annotations
@@ -31,16 +34,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.ecc.vector import decode_mismatches
-from repro.engine.packing import (
-    lanes_for,
-    lanes_to_word,
-    np,
-    pack_state,
-    word_to_lanes,
-)
+from repro.core.failure_log import FailureLog, unpack_columns
+from repro.ecc.vector import apply_corrections, decode_mismatches
+from repro.engine.packing import lanes_for, np, pack_state, word_to_lanes
 from repro.march.ops import Operation
-from repro.march.simulator import FailureRecord
 from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
 
@@ -71,19 +68,104 @@ def sync_clean_rows(memory: SRAM, state, clean_mask) -> None:
     memory.force_store_rows(rows, values)
 
 
-def unpack_columns(state) -> list[int]:
-    """Reassemble a packed ``(words, lanes)`` array into Python-int words.
+class SessionHits:
+    """One session's read mismatches over a stack of memories, as columns.
 
-    Bulk counterpart of :func:`repro.engine.packing.lanes_to_word`: one
-    C-level ``tolist`` per lane instead of one array slice per row.
+    The vector lanes add whole hit arrays per (element, read op, block);
+    the scalar replay and fallback lanes add ``(position, op, address,
+    expected, observed)`` tuples.  :meth:`logs` orders everything with one
+    stable sort on (member, step, sweep position, op) -- the reference's
+    record order -- and splits it into one
+    :class:`~repro.core.failure_log.FailureLog` per member.  A session
+    without mismatches allocates no arrays.
     """
-    lanes = state.shape[1]
-    values = state[:, 0].tolist()
-    for lane in range(1, lanes):
-        shift = 64 * lane
-        column = state[:, lane].tolist()
-        values = [value | (high << shift) for value, high in zip(values, column)]
-    return values
+
+    def __init__(self, lanes: int) -> None:
+        self.lanes = lanes
+        #: ``(members, step, op, positions, addresses, expected_lanes,
+        #: observed)`` per vector read op; expanded to columns in :meth:`logs`.
+        self._chunks: list[tuple] = []
+        #: ``(member, step, position, op, address, expected, observed)``.
+        self._scalar: list[tuple] = []
+
+    def add(self, members, step, op, positions, addresses, expected_lanes, observed):
+        """Vector hits of one read op: parallel arrays, one expected word."""
+        if positions.size:
+            self._chunks.append(
+                (members, step, op, positions, addresses, expected_lanes, observed)
+            )
+
+    def add_scalar(self, member: int, step: int, hits) -> None:
+        """Scalar-lane hits: ``(position, op, address, expected, observed)``."""
+        self._scalar.extend((member, step) + hit for hit in hits)
+
+    def logs(self, names, bits: int, plans) -> list[FailureLog]:
+        """One reference-ordered failure log per member (``names`` order)."""
+        if not self._chunks and not self._scalar:
+            return [FailureLog.from_records(name, bits) for name in names]
+        # Both sources as (member, step, op, position, address, expected,
+        # observed) columns.
+        sources = []
+        chunks = self._chunks
+        if chunks:
+            sizes = [chunk[3].size for chunk in chunks]
+            members, steps, ops, positions, addresses, expected, observed = zip(
+                *chunks
+            )
+            sources.append(
+                (
+                    np.concatenate(members),
+                    np.repeat(steps, sizes),
+                    np.repeat(ops, sizes),
+                    np.concatenate(positions),
+                    np.concatenate(addresses),
+                    np.repeat(np.stack(expected), sizes, axis=0),
+                    np.concatenate(observed),
+                )
+            )
+        if self._scalar:
+            member, step, position, op, address, expected, observed = zip(
+                *self._scalar
+            )
+            sources.append(
+                (
+                    np.array(member),
+                    np.array(step),
+                    np.array(op),
+                    np.array(position),
+                    np.array(address),
+                    pack_state(expected, self.lanes),
+                    pack_state(observed, self.lanes),
+                )
+            )
+        member, step, op, position, address, expected, observed = (
+            np.concatenate(column) for column in zip(*sources)
+        )
+        order = np.lexsort((op, position, step, member))
+        step, op, address = step[order], op[order], address[order]
+        expected, observed = expected[order], observed[order]
+        counts = np.bincount(member, minlength=len(names)).tolist()
+        logs = []
+        start = 0
+        for name, count in zip(names, counts):
+            if not count:
+                logs.append(FailureLog.from_records(name, bits))
+                continue
+            end = start + count
+            logs.append(
+                FailureLog(
+                    name,
+                    bits,
+                    plans,
+                    step[start:end],
+                    op[start:end],
+                    address[start:end],
+                    expected[start:end],
+                    observed[start:end],
+                )
+            )
+            start = end
+        return logs
 
 
 @dataclass
@@ -143,7 +225,7 @@ class ElementPlan:
     def __post_init__(self) -> None:
         # Flat per-op tuples so the behavioural replay's hot loop skips
         # attribute/property dispatch: (is_read, is_nwrc, write_word,
-        # expected_plain, expected_wrapped, extra_ticks, op_plan).
+        # expected_plain, expected_wrapped, extra_ticks).
         object.__setattr__(
             self,
             "compiled_ops",
@@ -155,7 +237,6 @@ class ElementPlan:
                     op_plan.expected_plain,
                     op_plan.expected_wrapped,
                     op_plan.tick_cost - 1,
-                    op_plan,
                 )
                 for op_plan in self.ops
             ),
@@ -184,13 +265,13 @@ def replay_dirty_rows(
     base_cycles: int,
     per_address: int,
     ecc=None,
-) -> list[tuple[int, int, FailureRecord]]:
+) -> list[tuple[int, int, int, int, int]]:
     """Behavioural replay of fault-hooked rows in exact sweep order.
 
     The shared time base is fast-forwarded to the cycle the reference
     implementation would show at each visit, so stateful faults observe
     identical times and orderings.  Returns ``(position, op_index,
-    record)`` triples for merging back into reference order.
+    address, expected, observed)`` hits for :meth:`SessionHits.add_scalar`.
     """
     return replay_dirty_positions(
         memory,
@@ -209,7 +290,7 @@ def replay_dirty_positions(
     base_cycles: int,
     per_address: int,
     ecc=None,
-) -> list[tuple[int, int, FailureRecord]]:
+) -> list[tuple[int, int, int, int, int]]:
     """:func:`replay_dirty_rows` with the sweep positions pre-resolved.
 
     The batched tier precomputes each memory's dirty positions once per
@@ -226,7 +307,7 @@ def replay_dirty_positions(
     ``ecc`` is the memory's :class:`repro.ecc.observer.EccObserver` (or
     ``None`` for raw observation): each mismatch is decoded scalar-wise --
     the replay lane is scalar anyway -- and masked mismatches produce no
-    record.
+    hit.
     """
     tr = _tracer()
     if tr.enabled and dirty_positions:
@@ -244,7 +325,7 @@ def replay_dirty_positions(
     words = memory.words
     ascending = plan.ascending
     last = plan.sweep_length - 1
-    records: list[tuple[int, int, FailureRecord]] = []
+    hits: list[tuple[int, int, int, int, int]] = []
     for position in dirty_positions:
         local = (position if ascending else last - position) % words
         wrapped = position >= words
@@ -256,7 +337,6 @@ def replay_dirty_positions(
             expected_plain,
             expected_wrapped,
             extra_ticks,
-            op_plan,
         ) in enumerate(compiled):
             if is_read:
                 observed = read(local)
@@ -268,16 +348,10 @@ def replay_dirty_positions(
                         observed = ecc.observe(local, expected, observed)
                         if observed == expected:
                             continue
-                    records.append(
-                        (
-                            position,
-                            op_index,
-                            _record(memory, plan, op_plan, op_index, local, expected, observed),
-                        )
-                    )
+                    hits.append((position, op_index, local, expected, observed))
             else:
                 write(local, write_word, is_nwrc)
-    return records
+    return hits
 
 
 def run_element(
@@ -287,15 +361,16 @@ def run_element(
     dirty_mask,
     plan: ElementPlan,
     lanes: int,
+    hits: SessionHits,
     ecc=None,
-) -> list[FailureRecord]:
-    """Execute one element; returns its failures in reference order.
+) -> None:
+    """Execute one element, adding its mismatches to ``hits`` (member 0).
 
     ``state`` is the packed ``(words, lanes)`` array -- authoritative for
     clean rows only (dirty rows live in the memory's behavioural state).
     With ``ecc`` (the memory's observer) set, clean-path mismatches go
     through the lane-plane SEC-DED decoder in bulk and masked rows are
-    dropped before records form.
+    dropped before they become hits.
     """
     words = memory.words
     sweep = plan.sweep_length
@@ -305,7 +380,7 @@ def run_element(
     if plan.deliver_ticks:
         timebase.tick(plan.deliver_ticks)
     base_cycles = timebase.cycles
-    records: list[tuple[int, int, FailureRecord]] = []
+    step = plan.step_index
 
     positions = np.arange(sweep)
     addresses = positions if plan.ascending else (sweep - 1) - positions
@@ -321,11 +396,13 @@ def run_element(
     if dirty_mask.any():
         if telem:
             replay_words = int(dirty_mask[local_rows].sum())
-        records.extend(
+        hits.add_scalar(
+            0,
+            step,
             replay_dirty_rows(
                 memory, dirty_mask, plan, positions, local_rows, base_cycles,
                 per_address, ecc,
-            )
+            ),
         )
 
     # The clean rows' share of the schedule is pure clocking.
@@ -357,58 +434,47 @@ def run_element(
                     expected_lanes = word_to_lanes(expected, lanes)
                     mismatch = (state[rows] != expected_lanes).any(axis=1)
                     if mismatch.any():
-                        hits = np.nonzero(mismatch)[0]
-                        keep = corrected = None
+                        index = np.nonzero(mismatch)[0]
+                        hit_rows = rows[index]
+                        hit_positions = block_positions[index]
+                        observed = state[hit_rows]
                         if ecc is not None:
-                            hit_rows = rows[hits]
                             keep, corrected = decode_mismatches(
-                                ecc, hit_rows, state[hit_rows] ^ expected_lanes
+                                ecc, hit_rows, observed ^ expected_lanes
                             )
-                        for index, hit in enumerate(hits):
-                            if keep is not None and not keep[index]:
-                                continue
-                            row = int(rows[hit])
-                            observed = lanes_to_word(state[row])
-                            if corrected is not None and corrected[index] >= 0:
-                                observed ^= 1 << int(corrected[index])
-                            records.append(
-                                (
-                                    int(block_positions[hit]),
-                                    op_index,
-                                    _record(
-                                        memory,
-                                        plan,
-                                        op_plan,
-                                        op_index,
-                                        row,
-                                        expected,
-                                        observed,
-                                    ),
-                                )
-                            )
+                            observed = apply_corrections(observed, corrected)[keep]
+                            hit_rows = hit_rows[keep]
+                            hit_positions = hit_positions[keep]
+                        hits.add(
+                            np.zeros(hit_rows.size, dtype=np.int64),
+                            step,
+                            op_index,
+                            hit_positions,
+                            hit_rows,
+                            expected_lanes,
+                            observed,
+                        )
                 else:
                     state[rows] = word_to_lanes(op_plan.write_word, lanes)
 
     if telem:
         counters.add("lane.clean.ns", time.perf_counter_ns() - clean_started)
 
-    records.sort(key=lambda item: (item[0], item[1]))
-    return [record for _, _, record in records]
-
 
 def run_element_slow(
     memory: SRAM, plan: ElementPlan, ecc=None
-) -> list[FailureRecord]:
+) -> list[tuple[int, int, int, int, int]]:
     """Pure-Python fallback executing a plan exactly like the reference.
 
     Used for memories the vector path cannot represent (decoder or
     column-mux faults, access tracing); behaviour and clocking match the
-    reference implementations cycle for cycle.
+    reference implementations cycle for cycle.  Returns ``(position,
+    op_index, address, expected, observed)`` hits in sweep order.
     """
     words = memory.words
     if plan.deliver_ticks:
         memory.timebase.tick(plan.deliver_ticks)
-    records: list[FailureRecord] = []
+    hits: list[tuple[int, int, int, int, int]] = []
     for position in range(plan.sweep_length):
         address = position if plan.ascending else plan.sweep_length - 1 - position
         local = address % words
@@ -427,33 +493,9 @@ def run_element_slow(
                         observed = ecc.observe(local, expected, observed)
                         if observed == expected:
                             continue
-                    records.append(
-                        _record(memory, plan, op_plan, op_index, local, expected, observed)
-                    )
+                    hits.append((position, op_index, local, expected, observed))
             elif operation.is_nwrc:
                 memory.nwrc_write(local, op_plan.write_word)
             else:
                 memory.write(local, op_plan.write_word)
-    return records
-
-
-def _record(
-    memory: SRAM,
-    plan: ElementPlan,
-    op_plan: OpPlan,
-    op_index: int,
-    address: int,
-    expected: int,
-    observed: int,
-) -> FailureRecord:
-    return FailureRecord(
-        memory_name=memory.name,
-        step_index=plan.step_index,
-        step_label=plan.step_label,
-        op_index=op_index,
-        operation=op_plan.operation,
-        address=address,
-        background=plan.record_background,
-        expected=expected,
-        observed=observed,
-    )
+    return hits

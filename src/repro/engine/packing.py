@@ -19,7 +19,6 @@ __all__ = [
     "HAVE_NUMPY",
     "LANE_BITS",
     "lanes_for",
-    "lanes_to_word",
     "np",
     "pack_bank",
     "pack_state",
@@ -43,14 +42,6 @@ def word_to_lanes(word: int, lanes: int):
         [(word >> (LANE_BITS * i)) & _LANE_MASK for i in range(lanes)],
         dtype=np.uint64,
     )
-
-
-def lanes_to_word(row) -> int:
-    """Reassemble one packed row back into a Python-int word."""
-    word = 0
-    for i in range(row.shape[0]):
-        word |= int(row[i]) << (LANE_BITS * i)
-    return word
 
 
 def pack_state(words: list[int], lanes: int):

@@ -40,18 +40,19 @@ from repro.engine.backends import (
     resolve_backend,
     vector_capable,
 )
+from repro.core.failure_log import FailureLog
 from repro.engine.kernel import (
     ElementPlan,
     OpPlan,
+    SessionHits,
     pack_memory,
     run_element,
     run_element_slow,
     sync_clean_rows,
 )
-from repro.engine.packing import HAVE_NUMPY
+from repro.engine.packing import HAVE_NUMPY, lanes_for
 from repro.march.algorithm import MarchAlgorithm, PauseStep
 from repro.march.element import AddressOrder
-from repro.march.simulator import FailureRecord
 from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
 from repro.util.bitops import mask
@@ -172,12 +173,16 @@ def finish_session(
 def finalize_memory_counters(
     scheme: FastDiagnosisScheme,
     memory: SRAM,
-    failures: list[FailureRecord],
+    failures: FailureLog,
     reads_per_word: int,
 ) -> None:
-    """Per-memory comparator/PSC bookkeeping, identical to the reference."""
+    """Per-memory comparator/PSC bookkeeping, identical to the reference.
+
+    The comparator shares the report's log: its records stay unbuilt
+    until someone reads them.
+    """
     comparator = scheme.comparators[memory.name]
-    comparator.failures.extend(failures)
+    comparator.failures = failures
     comparator.comparisons += scheme.controller_words * reads_per_word
     psc = scheme.pscs[memory.name]
     psc.captures += scheme.controller_words * reads_per_word
@@ -306,16 +311,23 @@ def _run_fast_session(scheme: FastDiagnosisScheme) -> ProposedReport:
 
 def _run_memory_session(
     scheme: FastDiagnosisScheme, memory: SRAM, algorithm: MarchAlgorithm
-) -> list[FailureRecord]:
+) -> FailureLog:
     """Simulate one memory through the whole session, fast where possible."""
     vector = vector_capable(memory)
     if vector:
         state, clean_mask, dirty_mask, lanes = pack_memory(memory)
     ecc = scheme.ecc_observers.get(memory.name)
 
+    def run(plan: ElementPlan) -> None:
+        if vector:
+            run_element(memory, state, clean_mask, dirty_mask, plan, lanes, hits, ecc)
+        else:
+            hits.add_scalar(0, plan.step_index, run_element_slow(memory, plan, ecc))
+
     tr = _tracer()
-    failures: list[FailureRecord] = []
-    for plan in session_step_plans(scheme, memory, algorithm):
+    hits = SessionHits(lanes_for(memory.bits))
+    plans = session_step_plans(scheme, memory, algorithm)
+    for plan in plans:
         if isinstance(plan, PauseStep):
             memory.pause(plan.duration_ns)
             continue
@@ -323,21 +335,10 @@ def _run_memory_session(
             with tr.span(
                 "march.element", "march", step=plan.step_label, memory=memory.name
             ):
-                if vector:
-                    failures.extend(
-                        run_element(
-                            memory, state, clean_mask, dirty_mask, plan, lanes, ecc
-                        )
-                    )
-                else:
-                    failures.extend(run_element_slow(memory, plan, ecc))
-        elif vector:
-            failures.extend(
-                run_element(memory, state, clean_mask, dirty_mask, plan, lanes, ecc)
-            )
+                run(plan)
         else:
-            failures.extend(run_element_slow(memory, plan, ecc))
+            run(plan)
 
     if vector:
         sync_clean_rows(memory, state, clean_mask)
-    return failures
+    return hits.logs([memory.name], memory.bits, plans)[0]

@@ -40,6 +40,8 @@ helpers are pure Python, so the fault library keeps working without the
 
 from __future__ import annotations
 
+import copy
+
 from repro.faults.base import (
     KIND_INT_READ,
     KIND_SEU,
@@ -74,6 +76,12 @@ class _PerAccessUpset(CellFault):
         #: analytically and publishes the final value back after each
         #: batched session, so mixed table/replay flows stay in step.
         self._draws = 0
+
+    def clone(self) -> "_PerAccessUpset":
+        twin = super().clone()
+        if self._stream is not None:
+            twin._stream = copy.copy(self._stream)
+        return twin
 
     def _upset(self) -> bool:
         """Draw the next per-access Bernoulli outcome."""

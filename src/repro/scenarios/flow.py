@@ -34,7 +34,6 @@ from repro.engine.aggregate import CampaignSummary
 from repro.faults.base import Fault
 from repro.faults.intermittent import sample_intermittent_population
 from repro.faults.population import sample_population
-from repro.memory.geometry import CellRef
 from repro.memory.sram import SRAM
 from repro.scenarios.cluster import assign_rates
 from repro.scenarios.spec import ScenarioSpec
@@ -224,6 +223,11 @@ def burn_in_population(
     )
 
 
+def _victim_ids(fault: Fault, bits: int) -> set[int]:
+    """A fault's victim cells as ``word * bits + bit`` ids."""
+    return {victim.word * bits + victim.bit for victim in fault.victims}
+
+
 def run_scenario_campaign(
     spec: ScenarioSpec, index: int
 ) -> ScenarioCampaignReport:
@@ -256,15 +260,21 @@ def run_scenario_campaign(
         injected_faults=injector.total,
         ecc_enabled=spec.ecc is not None,
     )
+    # Cell sets below are ``word * bits + bit`` ids, the failure logs'
+    # cell-id stride.
+    bits = {memory.name: memory.bits for memory in bank}
     # Union of the cells the decoder corrected anywhere in the flow --
     # the candidates for ECC-masked escapes.
-    ecc_corrected: dict[str, set[CellRef]] = {m.name: set() for m in bank}
+    ecc_corrected: dict[str, set[int]] = {m.name: set() for m in bank}
 
     def fold_ecc(session: ProposedReport) -> None:
         if not session.ecc:
             return
         for name, summary in session.ecc.items():
-            ecc_corrected[name] |= summary.corrected_cellrefs()
+            stride = bits[name]
+            ecc_corrected[name].update(
+                word * stride + bit for word, bit, _ in summary.corrected_cells
+            )
         report.ecc_corrected_reads += session.ecc_corrected_reads
         report.ecc_masked_reads += session.ecc_masked_reads
         report.ecc_uncorrectable_reads += session.ecc_uncorrectable_reads
@@ -278,8 +288,9 @@ def run_scenario_campaign(
             "test", 0, failures=proposed.total_failures, time_ns=proposed.time_ns
         )
     )
-    detected: dict[str, set[CellRef]] = {
-        memory.name: proposed.detected_cells(memory.name) for memory in bank
+    detected: dict[str, set[int]] = {
+        memory.name: set(proposed.failure_log(memory.name).cell_ids())
+        for memory in bank
     }
     if spec.include_baseline:
         baseline_bank, baseline_injector = campaign.faulty_bank()
@@ -333,7 +344,7 @@ def run_scenario_campaign(
         last = campaign.diagnose_proposed(scheme)
         fold_ecc(last)
         for memory in bank:
-            detected[memory.name] |= last.detected_cells(memory.name)
+            detected[memory.name].update(last.failure_log(memory.name).cell_ids())
         report.stages.append(
             StageOutcome(
                 "retest",
@@ -354,7 +365,7 @@ def run_scenario_campaign(
     # victims, not when a manufacturing fault already failed that cell in
     # an earlier stage.
     intermittent: dict[str, list[Fault]] = {}
-    burn_detected: dict[str, set[CellRef]] = {}
+    burn_detected: dict[str, set[int]] = {}
     if spec.burn_in:
         for memory in bank:
             population = burn_in_population(spec, memory, seed)
@@ -372,7 +383,7 @@ def run_scenario_campaign(
             )
         )
         for memory in bank:
-            burn_detected[memory.name] = burn.detected_cells(memory.name)
+            burn_detected[memory.name] = set(burn.failure_log(memory.name).cell_ids())
             detected[memory.name] |= burn_detected[memory.name]
 
     # Escape accounting: manufacturing faults never localized by any
@@ -388,10 +399,10 @@ def run_scenario_campaign(
         corrected = ecc_corrected.get(name, set())
         for fault in injector.faults_for(name):
             total += 1
-            victims = set(fault.victims)
-            if not seen & victims:
+            victims = _victim_ids(fault, bits[name])
+            if seen.isdisjoint(victims):
                 escaped += 1
-                if corrected & victims:
+                if not corrected.isdisjoint(victims):
                     masked_escaped += 1
     report.escaped_faults = escaped
     report.ecc_masked_escaped = masked_escaped
@@ -401,7 +412,7 @@ def run_scenario_campaign(
         1
         for name, faults in intermittent.items()
         for fault in faults
-        if burn_detected.get(name, set()) & set(fault.victims)
+        if not burn_detected.get(name, set()).isdisjoint(_victim_ids(fault, bits[name]))
     )
     return report
 

@@ -246,10 +246,12 @@ def _run_window(
         sweep = run_session(scheme, backend=backend)
         report.sweep_failures = sweep.total_failures
         report.sweep_time_ns = sweep.time_ns
-        detected = {name: sweep.detected_cells(name) for name in affected}
+        # A geometry's linear cell index is the log's cell id.
+        detected = {
+            name: set(sweep.failure_log(name).cell_ids()) for name in affected
+        }
         for event in events:
-            cell = geometries[event.memory].cell_at(event.cell_index)
-            if cell in detected[event.memory]:
+            if event.cell_index in detected[event.memory]:
                 report.detected_events += 1
         report.escaped_events = report.events - report.detected_events
     report.elapsed_s = time.perf_counter() - started

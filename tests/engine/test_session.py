@@ -163,7 +163,7 @@ class TestCampaignBackendParity:
     def test_single_localized_fault_repairs_cleanly(self):
         soc = case_study_soc(memories=2)
         campaign = DiagnosisCampaign(soc, defect_rate=0.0, seed=0, backend="numpy")
-        bank, injector = campaign._faulty_bank()
+        bank, injector = campaign.faulty_bank()
         assert injector.total == 0
 
         # End-to-end with one hand-placed fault through the public path.
