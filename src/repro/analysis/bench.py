@@ -38,6 +38,7 @@ from repro.engine.session import run_session
 from repro.soc.case_study import case_study_soc
 from repro.telemetry.core import activate, deactivate
 from repro.telemetry.report import TelemetryReport
+from repro.util.fileio import atomic_write_text
 
 #: (label, defect rate, batched-vs-numpy speedup target or None).
 BATCHED_REGIMES: tuple[tuple[str, float, float | None], ...] = (
@@ -370,9 +371,5 @@ def append_trajectory(path: "str | os.PathLike", entry: dict) -> list[dict]:
     else:
         history = []
     history.append(entry)
-    temporary = target.with_suffix(".tmp")
-    temporary.write_text(
-        json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    os.replace(temporary, target)
+    atomic_write_text(target, json.dumps(history, indent=2, sort_keys=True) + "\n")
     return history

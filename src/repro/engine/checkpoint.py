@@ -33,9 +33,11 @@ chunk whose digest does not match the active spec is *stale*, a chunk
 whose checksum does not match its content is *corrupt* -- both are
 rejected with :class:`CheckpointError` rather than silently aggregated.
 
-Chunk files are written atomically (temp file + ``os.replace``) and
-contain no timestamps, so an interrupted-then-resumed run leaves the
-store byte-identical to an uninterrupted one.
+Chunk files are written atomically and durably (a uniquely named,
+fsynced temp file + ``os.replace`` + a directory fsync; see
+:func:`repro.util.fileio.atomic_write_text`) and contain no timestamps,
+so an interrupted-then-resumed run leaves the store byte-identical to an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from pathlib import Path
 
 from repro.engine.aggregate import CampaignSummary
 from repro.telemetry.core import tracer as _tracer
+from repro.util.fileio import atomic_write_text
 from repro.util.validation import require
 
 #: Bump when the on-disk layout changes; old stores then read as stale.
@@ -288,13 +291,11 @@ class CheckpointStore:
 
     @staticmethod
     def _write_json(path: Path, payload: dict) -> None:
-        # Atomic publish: a reader (or a resumed run) never observes a
-        # half-written chunk, even if this process dies mid-write.
-        temporary = path.with_suffix(".tmp")
-        temporary.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        os.replace(temporary, path)
+        # Atomic, durable publish: a reader (or a resumed run) never
+        # observes a half-written chunk, even if this process dies
+        # mid-write or the machine loses power, and two resumers sharing
+        # the store never publish each other's partial files.
+        atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def ring_digest(spec, retain: int) -> str:

@@ -9,14 +9,18 @@ same SoC shape and defect rate, one derived seed per campaign -- and the
 * campaign seeds derive deterministically from the master seed via
   :func:`repro.util.rng.derive_seed`, so results are identical no matter
   how many workers run or which worker picks up which chunk;
-* campaigns are grouped into chunks; with several workers a
-  :class:`~repro.engine.supervisor.ChunkSupervisor` runs each chunk
-  attempt in its own short-lived process, so a chunk that raises, a
-  worker that dies and a chunk past its deadline are all detected,
-  retried with seeded backoff and, once exhausted, raised or
-  quarantined; ``workers <= 1`` (or a single pending chunk) runs inline
-  with the same retry/quarantine handling for exceptions.  Abandoning
-  the stream terminates the supervised workers without draining them;
+* campaigns are grouped into chunks and run by a
+  :class:`~repro.engine.supervisor.ChunkSupervisor`.  With several
+  workers it keeps that many long-lived processes, each taking one chunk
+  at a time over its own pipe, and replaces a worker only when it dies
+  or overruns its chunk deadline; a chunk that raises, a worker that
+  dies and a chunk past its deadline are all detected, retried with
+  seeded backoff and, once exhausted, raised or quarantined.
+  ``workers <= 1`` (or a single pending chunk) is the supervisor's
+  zero-process case: chunks run inline through the same retry and
+  quarantine loop, which then retries exceptions only.  Abandoning the
+  stream terminates busy workers without draining them and joins them
+  all;
 * finished chunks stream into a :class:`~repro.engine.aggregate.FleetReport`
   in campaign order (out-of-order chunks are buffered briefly), keeping
   aggregation deterministic and memory bounded;
@@ -45,11 +49,9 @@ from repro.engine.aggregate import CampaignSummary, FleetReport
 from repro.engine.checkpoint import CheckpointError, CheckpointStore, spec_digest
 from repro.engine.packing import HAVE_NUMPY
 from repro.engine.supervisor import (
-    ChunkExecutionError,
     ChunkFailure,
     ChunkRetryPolicy,
     ChunkSupervisor,
-    set_current_attempt,
 )
 from repro.faults.defects import DefectProfile, DefectType
 from repro.memory.geometry import MemoryGeometry
@@ -227,13 +229,34 @@ def reorder_chunks(
         )
 
 
+def _traced_chunk(
+    chunk_runner: "ChunkRunner",
+    spec,
+    item: tuple[int, tuple[int, ...]],
+) -> tuple[int, list[CampaignSummary], None]:
+    """Inline task: run one chunk as a ``fleet.chunk`` span of the active tracer.
+
+    Inline chunks trace straight into the caller's tracer (no snapshot
+    shipping), so their spans nest into the parent timeline.
+    """
+    chunk_index, indices = item
+    tr = _tracer()
+    if not tr.enabled:
+        return chunk_index, chunk_runner(spec, indices), None
+    started = time.perf_counter_ns()
+    with tr.span("fleet.chunk", "fleet", chunk=chunk_index, campaigns=len(indices)):
+        summaries = chunk_runner(spec, indices)
+    tr.counters.add("fleet.worker_busy.ns", time.perf_counter_ns() - started)
+    return chunk_index, summaries, None
+
+
 def _run_indexed_chunk(
     chunk_runner: "ChunkRunner",
     spec,
     telemetry_enabled: bool,
     item: tuple[int, tuple[int, ...]],
 ) -> tuple[int, list[CampaignSummary], dict | None]:
-    """Pool task: run one chunk and tag it with its submission index.
+    """Worker task: run one chunk and tag it with its submission index.
 
     With telemetry enabled the worker activates a *fresh* tracer for the
     chunk (fork inherits the parent's tracer object; reusing it would
@@ -241,19 +264,11 @@ def _run_indexed_chunk(
     as one ``fleet.chunk`` span and ships the tracer snapshot back with
     the summaries for the scheduler to merge.
     """
-    chunk_index, indices = item
     if not telemetry_enabled:
-        return chunk_index, chunk_runner(spec, indices), None
+        return item[0], chunk_runner(spec, item[1]), None
     tracer = activate()
     try:
-        started = time.perf_counter_ns()
-        with tracer.span(
-            "fleet.chunk", "fleet", chunk=chunk_index, campaigns=len(indices)
-        ):
-            summaries = chunk_runner(spec, indices)
-        tracer.counters.add(
-            "fleet.worker_busy.ns", time.perf_counter_ns() - started
-        )
+        chunk_index, summaries, _ = _traced_chunk(chunk_runner, spec, item)
         return chunk_index, summaries, tracer.snapshot()
     finally:
         deactivate()
@@ -398,37 +413,20 @@ class FleetScheduler:
     ) -> FleetReport:
         """Run every campaign and return the aggregated fleet report.
 
-        ``progress`` (optional) is called with ``(done, total)`` after each
-        chunk completes.
+        A fold over :meth:`stream`.  ``progress`` (optional) is called
+        with ``(done, total)`` after each chunk completes.
         """
-        chunks = chunked_indices(self.spec.campaigns, self.chunk_size)
         report = FleetReport()
-        parent_tracer: Tracer | None = None
-        previous_tracer = None
-        if self.telemetry:
-            # The parent traces checkpoint reads, inline chunks and its
-            # own queue waits; workers ship their snapshots via the chunk
-            # protocol.  The previous tracer is restored on every exit so
-            # nested/bench-driven runs compose.
-            self._telemetry_report = TelemetryReport()
-            parent_tracer = Tracer()
-            previous_tracer = set_tracer(parent_tracer)
         started = time.perf_counter()
-        done = 0
-        stream = self._stream_chunks(chunks)
+        stream = self.stream(progress)
         try:
             for chunk in stream:
                 for summary in chunk:
                     report.add(summary)
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, self.spec.campaigns)
         finally:
-            # Deterministically unwind the stream (and with it the worker
-            # pool) even when aggregation or the progress callback raises.
+            # Deterministically unwind the stream (and with it the
+            # workers) even when aggregation raises.
             stream.close()
-            if previous_tracer is not None:
-                set_tracer(previous_tracer)
         report.elapsed_s = time.perf_counter() - started
         if self.last_failures:
             report.failures = [
@@ -437,20 +435,13 @@ class FleetScheduler:
                     self.last_failures, key=lambda f: f.chunk_index
                 )
             ]
-        if parent_tracer is not None:
-            telemetry_report = self._telemetry_report
-            self._telemetry_report = None
-            counters = parent_tracer.counters
-            counters.add("fleet.workers", self.workers)
-            counters.add("fleet.elapsed.ns", int(report.elapsed_s * 1e9))
-            telemetry_report.merge_tracer(parent_tracer)
+        if self.last_telemetry is not None:
             # Promote the plan-cache traffic into the telemetry channel
             # (the FleetReport fields stay as aliases for --json users).
-            telemetry_report.counters.add("plan_cache.hits", report.plan_cache_hits)
-            telemetry_report.counters.add(
-                "plan_cache.misses", report.plan_cache_misses
-            )
-            report.telemetry = telemetry_report
+            counters = self.last_telemetry.counters
+            counters.add("plan_cache.hits", report.plan_cache_hits)
+            counters.add("plan_cache.misses", report.plan_cache_misses)
+            report.telemetry = self.last_telemetry
         return report
 
     def stream(
@@ -458,14 +449,12 @@ class FleetScheduler:
     ) -> Iterator[list[CampaignSummary]]:
         """Yield chunk results in submission order, one chunk at a time.
 
-        The iterator form of :meth:`run`: no terminal report is built,
-        so long-running consumers (the streaming monitor) aggregate
-        however they like and may stop whenever they like --
-        ``break``-ing out (or calling ``close()``) is the *normal* way
-        to end consumption, and tears the worker pool down immediately
-        without draining in-flight chunks and without orphaning
-        workers.  Checkpointing and resume behave exactly as in
-        :meth:`run`.  With ``telemetry=True`` the merged
+        :meth:`run` folds this stream into a report; other consumers
+        (the streaming monitor) aggregate however they like and may stop
+        whenever they like -- ``break``-ing out (or calling ``close()``)
+        is the *normal* way to end consumption, and tears the workers
+        down immediately without draining in-flight chunks and without
+        orphaning any.  With ``telemetry=True`` the merged
         :class:`~repro.telemetry.report.TelemetryReport` is published on
         ``self.last_telemetry`` once the stream ends (fully consumed or
         closed early).
@@ -474,6 +463,10 @@ class FleetScheduler:
         parent_tracer: Tracer | None = None
         previous_tracer = None
         if self.telemetry:
+            # The parent traces checkpoint reads, inline chunks and its
+            # own queue waits; workers ship their snapshots via the chunk
+            # protocol.  The previous tracer is restored on every exit so
+            # nested/bench-driven runs compose.
             self._telemetry_report = TelemetryReport()
             parent_tracer = Tracer()
             previous_tracer = set_tracer(parent_tracer)
@@ -604,11 +597,11 @@ class FleetScheduler:
                 raise ValueError("chunk stream yielded more chunks than submitted")
         finally:
             # Teardown order matters for early close: shut the executor
-            # first (GeneratorExit lands in its pool loop, which
-            # *terminates* the pool rather than draining remaining
-            # results), then drop the ordering buffer.  An abandoned
-            # stream therefore never blocks on in-flight chunks and
-            # never orphans workers.
+            # first (GeneratorExit lands in the supervisor loop, which
+            # *terminates* busy workers rather than draining their
+            # results and joins every worker), then drop the ordering
+            # buffer.  An abandoned stream therefore never blocks on
+            # in-flight chunks and never orphans workers.
             executor.close()
             pending_ordered.close()
 
@@ -622,26 +615,24 @@ class FleetScheduler:
         Yields completion-order ``(chunk_index, summaries, snapshot)``
         triples; a quarantined chunk yields an empty summary list and is
         deliberately *not* persisted, so a later resume re-runs it.
+        Checkpoints are written here, in completion order, so an
+        interrupt loses at most the chunks still in flight.
         """
         if not pending:
             return
         if self.workers <= 1 or len(pending) <= 1:
-            yield from self._execute_inline(pending)
-            return
-        context = self._pool_context()
-        worker = partial(
-            _run_indexed_chunk, self.chunk_runner, self.spec, self.telemetry
-        )
-        # One supervised process per chunk attempt (instead of a shared
-        # Pool): a worker that segfaults, OOMs or ``os._exit``s surfaces
-        # as pipe EOF and is respawned, rather than hanging the parent
-        # on a result that will never come.  Checkpoints are written
-        # here, in completion order, so an interrupt loses at most the
-        # chunks still in flight.
+            context, workers = None, 0
+            task = partial(_traced_chunk, self.chunk_runner, self.spec)
+        else:
+            context = self._pool_context()
+            workers = min(self.workers, len(pending))
+            task = partial(
+                _run_indexed_chunk, self.chunk_runner, self.spec, self.telemetry
+            )
         supervisor = ChunkSupervisor(
             context=context,
-            workers=min(self.workers, len(pending)),
-            task=worker,
+            workers=workers,
+            task=task,
             policy=self.retry,
             jitter_seed=getattr(self.spec, "master_seed", 0),
             quarantine=self.on_chunk_failure == "quarantine",
@@ -660,72 +651,6 @@ class FleetScheduler:
                 tr.counters.add("fleet.retries", supervisor.retries)
                 tr.counters.add("fleet.respawns", supervisor.respawns)
                 tr.counters.add("fleet.quarantined", supervisor.quarantined)
-
-    def _execute_inline(
-        self, pending: list[tuple[int, tuple[int, ...]]]
-    ) -> Iterator[tuple[int, "list[CampaignSummary] | None", dict | None]]:
-        """Single-process execution with the same retry/quarantine story.
-
-        Inline chunks run under the parent's tracer directly (no
-        snapshot shipping), so spans nest into the parent timeline.
-        Crash and hang supervision need a separate process, so inline
-        mode retries only *exceptions* and ignores ``chunk_timeout_s``;
-        ``KeyboardInterrupt`` always propagates.
-        """
-        tr = _tracer()
-        for index, chunk in pending:
-            attempts: list[tuple[str, str]] = []
-            while True:
-                set_current_attempt(len(attempts))
-                try:
-                    if tr.enabled:
-                        busy_started = time.perf_counter_ns()
-                        with tr.span(
-                            "fleet.chunk", "fleet",
-                            chunk=index, campaigns=len(chunk),
-                        ):
-                            summaries = self.chunk_runner(self.spec, chunk)
-                        tr.counters.add(
-                            "fleet.worker_busy.ns",
-                            time.perf_counter_ns() - busy_started,
-                        )
-                    else:
-                        summaries = self.chunk_runner(self.spec, chunk)
-                except Exception as error:  # noqa: BLE001 -- retried below
-                    attempts.append(
-                        ("exception", f"{type(error).__name__}: {error}")
-                    )
-                    if len(attempts) < self.retry.max_attempts:
-                        if tr.enabled:
-                            tr.counters.add("fleet.retries", 1)
-                        time.sleep(
-                            self.retry.delay_s(
-                                getattr(self.spec, "master_seed", 0),
-                                index,
-                                len(attempts),
-                            )
-                        )
-                        continue
-                    failure = ChunkFailure(
-                        chunk_index=index,
-                        campaign_indices=tuple(chunk),
-                        error_kinds=tuple(kind for kind, _ in attempts),
-                        details=tuple(detail for _, detail in attempts),
-                    )
-                    if self.on_chunk_failure != "quarantine":
-                        raise ChunkExecutionError(failure) from error
-                    self.last_failures.append(failure)
-                    if tr.enabled:
-                        tr.counters.add("fleet.quarantined", 1)
-                    summaries = None
-                finally:
-                    set_current_attempt(0)
-                break
-            if summaries is None:
-                yield index, [], None
-                continue
-            self._persist(index, chunk, summaries)
-            yield index, summaries, None
 
     def _persist(
         self,

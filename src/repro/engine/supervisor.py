@@ -1,20 +1,35 @@
-"""Supervised chunk execution: dead-worker detection, retry, quarantine.
+"""Supervised chunk execution: persistent workers, retry, quarantine.
 
 ``multiprocessing.Pool`` is fail-silent in exactly the wrong way for a
 long-running fleet: a worker that dies mid-task (segfault, OOM kill,
 ``os._exit``) takes its queued task down with it and
 ``imap_unordered`` simply never yields the result -- the parent blocks
-forever.  The :class:`ChunkSupervisor` replaces the pool with one
-short-lived process per chunk attempt, each reporting over its own
-pipe, so the parent can distinguish the three failure shapes that
-matter:
+forever.  The :class:`ChunkSupervisor` replaces the pool with up to
+``workers`` long-lived processes, each on its own duplex pipe.  The
+parent hands a worker one ``(chunk, attempt)`` at a time and the worker
+answers with that chunk's result before it takes the next, so the
+parent can distinguish the three failure shapes that matter:
 
 * ``exception`` -- the chunk runner raised; the worker reports the
-  error type and message over the pipe before exiting;
+  error type and message over the pipe and stays up for the next chunk;
 * ``crash`` -- the worker died without reporting (pipe hit EOF); the
-  exit code is recorded and a replacement process is spawned;
+  exit code is recorded and a replacement is started at once;
 * ``timeout`` -- the chunk exceeded the policy's per-chunk deadline;
-  the worker is terminated.
+  the worker is terminated and likewise replaced.
+
+Those two are the only reasons a worker is replaced, so a fault-free
+run uses ``workers`` processes however many chunks it has, and every
+chunk after a worker's first finds its imports and plan cache warm.
+Between events the parent blocks on the busy workers' pipes until one
+is readable, the earliest deadline passes or -- only while a worker is
+free -- the earliest retry comes due; it never polls.  A free worker
+takes the lowest-numbered due chunk: fresh chunks run while a retry
+backs off, and the retry goes next once its backoff has passed.
+
+``workers=0`` is the zero-process case of the same loop: the calling
+process is the one worker.  It retries only exceptions (a crash would
+take the caller down), ignores the deadline (a chunk cannot be
+preempted) and lets ``KeyboardInterrupt`` through.
 
 Failed chunks are retried under a :class:`ChunkRetryPolicy` --
 exponential backoff whose jitter derives from the repo's counter-based
@@ -55,13 +70,9 @@ __all__ = [
 #: the backoff stream independent of every other splitmix64 consumer.
 _JITTER_LABEL = 0x52455452
 
-#: Parent poll granularity: the supervisor re-checks deadlines and the
-#: retry schedule at least this often while workers run.
-_POLL_S = 0.1
-
 #: Attempt number of the chunk currently executing in this process
-#: (0-based).  Set by the supervisor's worker entry point (and by the
-#: scheduler's inline path) before the chunk runner is invoked, so
+#: (0-based).  Set by the supervisor (in a worker, or in the caller for
+#: inline execution) before the chunk runner is invoked, so
 #: attempt-aware runners -- the chaos harness foremost -- can key
 #: injected faults on the attempt without threading it through the
 #: ``(spec, indices)`` chunk contract.
@@ -90,8 +101,8 @@ class ChunkRetryPolicy(Record):
     ``mix_seed(seed, chunk, k)`` -- no wall-clock randomness, so two
     runs of the same chaos scenario sleep the same schedule.
     ``chunk_timeout_s`` (``None`` = unlimited) bounds one attempt's
-    wall-clock time under the supervisor; inline (``workers <= 1``)
-    execution cannot preempt a chunk and ignores it.
+    wall-clock time in a supervised worker; inline execution cannot
+    preempt a chunk and ignores it.
     """
 
     max_attempts: int = 3
@@ -172,35 +183,47 @@ class ChunkExecutionError(RuntimeError):
         )
 
 
-def _supervised_worker(conn, task: Callable, item, attempt: int) -> None:
-    """Worker entry point: run one chunk attempt, report over ``conn``.
+def _worker_loop(conn, parent_end, task: Callable) -> None:
+    """Persistent worker: run chunk attempts from ``conn`` until told to stop.
 
-    Module-level (and argument-closed) so it pickles under the spawn
-    start method.  Reports ``("ok", summaries, snapshot)`` or
-    ``("error", type_name, message)``; a worker that dies before
-    sending anything is detected by the parent as EOF on the pipe.
+    Module-level so it pickles under the spawn start method, which pickles
+    ``task`` once per worker.  Each ``(item, attempt)`` message is
+    answered with ``("ok", summaries, snapshot)`` or ``("error",
+    type_name, message)``; ``None`` or EOF ends the loop.  A worker that
+    dies mid-chunk is detected by the parent as EOF on the pipe.
     """
-    set_current_attempt(attempt)
-    try:
-        try:
-            _chunk_index, summaries, snapshot = task(item)
-        except Exception as error:  # noqa: BLE001 -- shipped to the parent
-            conn.send(("error", type(error).__name__, str(error)))
-        else:
-            conn.send(("ok", summaries, snapshot))
-    finally:
-        conn.close()
+    # A forked worker inherits the parent's end of its own pipe; holding
+    # it would keep EOF from arriving should the parent die.
+    parent_end.close()
+    with conn:
+        while True:
+            try:
+                message = conn.recv()
+            except EOFError:
+                return
+            if message is None:
+                return
+            item, attempt = message
+            set_current_attempt(attempt)
+            try:
+                _chunk_index, summaries, snapshot = task(item)
+            except Exception as error:  # noqa: BLE001 -- shipped to the parent
+                conn.send(("error", type(error).__name__, str(error)))
+            else:
+                conn.send(("ok", summaries, snapshot))
+
+
+#: One execution of one chunk: ``(chunk_index, indices, attempt)``.
+_Job = tuple[int, tuple[int, ...], int]
 
 
 @dataclass
-class _Running:
-    """One in-flight worker process and its reporting pipe."""
+class _Worker:
+    """One persistent worker process, its pipe and its current job."""
 
-    chunk_index: int
-    indices: tuple[int, ...]
-    attempt: int
     process: object
     conn: object
+    job: _Job | None = None
     deadline: float | None = None
 
 
@@ -210,11 +233,14 @@ class ChunkSupervisor:
 
     ``task`` maps one ``(chunk_index, indices)`` item to a
     ``(chunk_index, summaries, snapshot)`` triple (the scheduler passes
-    a pickled-by-reference partial of its chunk runner).  Consumption
-    happens through :meth:`results`, which yields completion-order
-    triples; a quarantined chunk yields ``summaries=None``.  The
-    counters (:attr:`retries`, :attr:`respawns`, :attr:`quarantined`)
-    and the :attr:`failures` list update as results stream out.
+    a pickled-by-reference partial of its chunk runner).  ``workers`` is
+    how many worker processes from ``context`` run at once; ``0`` runs
+    every chunk in the calling process and needs no context.
+    Consumption happens through :meth:`results`, which yields
+    completion-order triples; a quarantined chunk yields
+    ``summaries=None``.  The counters (:attr:`retries`, :attr:`respawns`
+    for worker deaths, :attr:`quarantined`) and the :attr:`failures`
+    list update as results stream out.
     """
 
     context: object
@@ -233,159 +259,170 @@ class ChunkSupervisor:
     def results(
         self, pending: list[tuple[int, tuple[int, ...]]]
     ) -> Iterator[tuple[int, "list | None", dict | None]]:
-        """Yield ``(chunk_index, summaries, snapshot)`` in completion order."""
-        require(self.workers >= 1, "workers must be >= 1")
-        # Retry schedule: a heap of (not-before, tiebreak, chunk, indices,
-        # attempt).  Fresh chunks are runnable immediately in submission
-        # order; retries join with their backoff deadline.
-        sequence = 0
-        todo: list[tuple[float, int, int, tuple[int, ...], int]] = []
-        for chunk_index, indices in pending:
-            heapq.heappush(todo, (0.0, sequence, chunk_index, indices, 0))
-            sequence += 1
-        running: dict[object, _Running] = {}
+        """Yield ``(chunk_index, summaries, snapshot)`` in completion order.
+
+        Every worker is joined when the generator ends -- fully consumed,
+        closed early or raising -- busy ones terminated, idle ones told
+        to exit.
+        """
+        require(self.workers >= 0, "workers must be >= 0")
+        # ``ready`` holds due jobs, lowest chunk first, so a retry whose
+        # backoff has passed goes ahead of later fresh chunks and the
+        # head of line is not held back; ``backoff`` holds retries by
+        # their not-before time.
+        ready = [(chunk_index, indices, 0) for chunk_index, indices in pending]
+        heapq.heapify(ready)
+        backoff: list[tuple[float, _Job]] = []
+        slots = max(1, self.workers)
         history: dict[int, list[tuple[str, str]]] = {}
+        idle: list[_Worker] = []
+        busy: dict[object, _Worker] = {}
         try:
-            while todo or running:
+            while ready or backoff or busy:
                 now = time.monotonic()
-                while todo and len(running) < self.workers and todo[0][0] <= now:
-                    _, _, chunk_index, indices, attempt = heapq.heappop(todo)
-                    self._spawn(running, chunk_index, indices, attempt)
-                timeout = self._poll_timeout(todo, running, now)
-                if not running:
-                    time.sleep(timeout)
-                    continue
-                ready = _connection_wait(list(running), timeout=timeout)
-                for conn in ready:
-                    entry = running.pop(conn)
-                    outcome = self._collect(entry)
-                    if outcome[0] == "ok":
-                        yield entry.chunk_index, outcome[1], outcome[2]
+                while backoff and backoff[0][0] <= now:
+                    heapq.heappush(ready, heapq.heappop(backoff)[1])
+                if ready and len(busy) < slots:
+                    job = heapq.heappop(ready)
+                    if self.workers:
+                        self._dispatch(job, idle, busy)
+                        continue
+                    outcomes = [(job, self._run_inline(job))]
+                else:
+                    outcomes = self._wait(backoff, idle, busy, slots)
+                for job, (kind, value, extra) in outcomes:
+                    if kind == "ok":
+                        yield job[0], value, extra
                     else:
-                        sequence = yield from self._handle_failure(
-                            todo, history, entry, outcome[1], outcome[2], sequence
-                        )
-                now = time.monotonic()
-                for conn, entry in list(running.items()):
-                    if entry.deadline is not None and now >= entry.deadline:
-                        running.pop(conn)
-                        self._stop(entry)
-                        detail = (
-                            f"chunk exceeded the {self.policy.chunk_timeout_s:g}s "
-                            f"deadline; worker terminated"
-                        )
-                        sequence = yield from self._handle_failure(
-                            todo, history, entry, "timeout", detail, sequence
+                        yield from self._retry_or_fail(
+                            backoff, history, job, kind, value, extra
                         )
         finally:
-            # Early close (GeneratorExit) and strict-mode raises both land
-            # here: no in-flight worker may outlive the supervisor.
-            for entry in running.values():
-                entry.process.terminate()
-            for entry in running.values():
-                self._reap(entry)
+            for worker in busy.values():
+                worker.process.terminate()
+            for worker in idle:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass  # already gone; the join below reaps it
+            for worker in [*busy.values(), *idle]:
+                self._reap(worker)
 
-    def _spawn(
-        self,
-        running: dict,
-        chunk_index: int,
-        indices: tuple[int, ...],
-        attempt: int,
-    ) -> None:
-        parent_conn, child_conn = self.context.Pipe(duplex=False)
+    def _run_inline(self, job: _Job) -> tuple:
+        chunk_index, indices, attempt = job
+        set_current_attempt(attempt)
+        try:
+            _, summaries, snapshot = self.task((chunk_index, indices))
+        except Exception as error:  # noqa: BLE001 -- retried like a worker's report
+            return "exception", f"{type(error).__name__}: {error}", error
+        finally:
+            set_current_attempt(0)
+        return "ok", summaries, snapshot
+
+    def _dispatch(self, job: _Job, idle: list, busy: dict) -> None:
+        worker = idle.pop() if idle else self._spawn()
+        try:
+            worker.conn.send(((job[0], job[1]), job[2]))
+        except OSError:
+            pass  # died while idle: its pipe reads as EOF, a crash
+        worker.job = job
+        if self.policy.chunk_timeout_s is not None:
+            worker.deadline = time.monotonic() + self.policy.chunk_timeout_s
+        busy[worker.conn] = worker
+
+    def _spawn(self) -> _Worker:
+        parent_end, child_end = self.context.Pipe()
         process = self.context.Process(
-            target=_supervised_worker,
-            args=(child_conn, self.task, (chunk_index, indices), attempt),
+            target=_worker_loop,
+            args=(child_end, parent_end, self.task),
             daemon=True,
         )
         process.start()
         # Drop the parent's handle on the child end so a dead worker
         # surfaces as EOF instead of a silently half-open pipe.
-        child_conn.close()
-        deadline = None
-        if self.policy.chunk_timeout_s is not None:
-            deadline = time.monotonic() + self.policy.chunk_timeout_s
-        running[parent_conn] = _Running(
-            chunk_index, indices, attempt, process, parent_conn, deadline
-        )
+        child_end.close()
+        return _Worker(process, parent_end)
 
-    def _poll_timeout(self, todo: list, running: dict, now: float) -> float:
-        horizon = _POLL_S
-        if todo:
-            horizon = min(horizon, todo[0][0] - now)
-        for entry in running.values():
-            if entry.deadline is not None:
-                horizon = min(horizon, entry.deadline - now)
-        return max(0.0, horizon)
+    def _wait(self, backoff: list, idle: list, busy: dict, slots: int) -> list:
+        """Block until a worker reports, a deadline passes or a retry is due."""
+        wake = [w.deadline for w in busy.values() if w.deadline is not None]
+        if backoff and len(busy) < slots:
+            wake.append(backoff[0][0])
+        timeout = max(0.0, min(wake) - time.monotonic()) if wake else None
+        if not busy:
+            time.sleep(timeout)
+            return []
+        outcomes = []
+        for conn in _connection_wait(list(busy), timeout=timeout):
+            worker = busy[conn]
+            outcome = self._collect(worker)
+            del busy[conn]
+            idle.append(self._spawn() if outcome[0] == "crash" else worker)
+            outcomes.append((worker.job, outcome))
+        now = time.monotonic()
+        for conn, worker in list(busy.items()):
+            if worker.deadline is not None and now >= worker.deadline:
+                del busy[conn]
+                worker.process.terminate()
+                self._reap(worker)
+                idle.append(self._spawn())
+                detail = (
+                    f"chunk exceeded the {self.policy.chunk_timeout_s:g}s "
+                    f"deadline; worker terminated"
+                )
+                outcomes.append((worker.job, ("timeout", detail, None)))
+        return outcomes
 
-    def _collect(self, entry: _Running) -> tuple:
-        """Read one finished worker's report; classify silent deaths."""
+    def _collect(self, worker: _Worker) -> tuple:
+        """Read one busy worker's report; reap and classify a silent death."""
         try:
-            message = entry.conn.recv()
+            message = worker.conn.recv()
         except (EOFError, OSError):
-            message = None
-        entry.process.join()
-        entry.conn.close()
-        if message is not None and message[0] == "ok":
+            self._reap(worker)
+            self.respawns += 1
+            detail = (
+                f"worker exited with code {worker.process.exitcode} "
+                f"before reporting a result"
+            )
+            return "crash", detail, None
+        if message[0] == "ok":
             return message
-        if message is not None:
-            return "error", "exception", f"{message[1]}: {message[2]}"
-        self.respawns += 1
-        return (
-            "error",
-            "crash",
-            f"worker exited with code {entry.process.exitcode} "
-            f"before reporting a result",
-        )
+        return "exception", f"{message[1]}: {message[2]}", None
 
-    def _handle_failure(
+    def _retry_or_fail(
         self,
-        todo: list,
+        backoff: list,
         history: dict,
-        entry: _Running,
+        job: _Job,
         kind: str,
         detail: str,
-        sequence: int,
+        cause: BaseException | None,
     ):
-        attempts = history.setdefault(entry.chunk_index, [])
+        chunk_index, indices, _ = job
+        attempts = history.setdefault(chunk_index, [])
         attempts.append((kind, detail))
         if len(attempts) < self.policy.max_attempts:
             self.retries += 1
-            delay = self.policy.delay_s(
-                self.jitter_seed, entry.chunk_index, len(attempts)
-            )
-            heapq.heappush(
-                todo,
-                (
-                    time.monotonic() + delay,
-                    sequence,
-                    entry.chunk_index,
-                    entry.indices,
-                    len(attempts),
-                ),
-            )
-            return sequence + 1
+            delay = self.policy.delay_s(self.jitter_seed, chunk_index, len(attempts))
+            retry = (chunk_index, indices, len(attempts))
+            heapq.heappush(backoff, (time.monotonic() + delay, retry))
+            return
         failure = ChunkFailure(
-            chunk_index=entry.chunk_index,
-            campaign_indices=tuple(entry.indices),
+            chunk_index=chunk_index,
+            campaign_indices=tuple(indices),
             error_kinds=tuple(kind for kind, _ in attempts),
             details=tuple(detail for _, detail in attempts),
         )
         if not self.quarantine:
-            raise ChunkExecutionError(failure)
+            raise ChunkExecutionError(failure) from cause
         self.failures.append(failure)
         self.quarantined += 1
-        yield entry.chunk_index, None, None
-        return sequence
-
-    def _stop(self, entry: _Running) -> None:
-        entry.process.terminate()
-        self._reap(entry)
+        yield chunk_index, None, None
 
     @staticmethod
-    def _reap(entry: _Running) -> None:
-        entry.process.join(5.0)
-        if entry.process.is_alive():  # pragma: no cover -- SIGTERM ignored
-            entry.process.kill()
-            entry.process.join()
-        entry.conn.close()
+    def _reap(worker: _Worker) -> None:
+        worker.process.join(5.0)
+        if worker.process.is_alive():  # pragma: no cover -- SIGTERM ignored
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -167,6 +168,45 @@ class TestTrajectory:
         path.write_text("{}")
         with pytest.raises(ValueError, match="JSON list"):
             append_trajectory(path, {"timestamp": "t0"})
+
+    def test_failed_replace_keeps_history_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "trajectory.json"
+        append_trajectory(path, {"timestamp": "t0"})
+
+        def failing_replace(source, target):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space left"):
+            append_trajectory(path, {"timestamp": "t1"})
+        monkeypatch.undo()
+        assert json.loads(path.read_text()) == [{"timestamp": "t0"}]
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.json"]
+
+    def test_interleaved_appenders_publish_one_complete_history(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "trajectory.json"
+        real_replace = os.replace
+        interleaved = []
+
+        def replace_after_second_writer(source, target):
+            if not interleaved:
+                interleaved.append(True)
+                append_trajectory(path, {"timestamp": "second"})
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_after_second_writer)
+        append_trajectory(path, {"timestamp": "first"})
+        # Both appenders read the empty history; the later rename wins
+        # whole -- never a torn or missing file.
+        assert json.loads(path.read_text()) in (
+            [{"timestamp": "first"}],
+            [{"timestamp": "second"}],
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.json"]
 
     def test_git_revision_in_a_repo(self, tmp_path):
         # The repo under test is a git repository; outside one, None.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 
 import pytest
@@ -322,3 +323,49 @@ class TestRoundTrip:
             for summary in scheduler.checkpoint.load(index):
                 rebuilt.add(summary)
         assert rebuilt.canonical_json() == report.canonical_json()
+
+
+def _temporaries(root) -> list[str]:
+    return sorted(path.name for path in root.iterdir() if path.suffix == ".tmp")
+
+
+class TestDurableWrites:
+    """Chunk, slot and manifest files are published atomically and durably."""
+
+    def test_failed_replace_keeps_old_file_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "chunk_00000.json"
+        CheckpointStore._write_json(path, {"version": "old"})
+
+        def failing_replace(source, target):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space left"):
+            CheckpointStore._write_json(path, {"version": "new"})
+        monkeypatch.undo()
+        assert json.loads(path.read_text()) == {"version": "old"}
+        assert _temporaries(tmp_path) == []
+
+    def test_interleaved_writers_publish_one_complete_payload(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "chunk_00000.json"
+        first = {"writer": "first", "summaries": list(range(64))}
+        second = {"writer": "second", "summaries": list(range(64, 128))}
+        real_replace = os.replace
+        interleaved = []
+
+        def replace_after_second_writer(source, target):
+            if not interleaved:
+                # A second resumer publishes the same chunk between this
+                # writer's temporary-file write and its rename.
+                interleaved.append(True)
+                CheckpointStore._write_json(path, second)
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_after_second_writer)
+        CheckpointStore._write_json(path, first)
+        assert json.loads(path.read_text()) in (first, second)
+        assert _temporaries(tmp_path) == []

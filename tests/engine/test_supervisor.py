@@ -1,4 +1,5 @@
-"""Supervised chunk execution: dead workers, retries, deadlines, quarantine.
+"""Supervised chunk execution: persistent workers, dead workers, retries,
+deadlines, quarantine.
 
 The regression that motivates this file: under ``multiprocessing.Pool``
 a worker dying via ``os._exit`` mid-chunk hung the parent forever
@@ -12,16 +13,22 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro.engine.supervisor as supervisor_module
 from repro.engine.fleet import FleetScheduler, FleetSpec, run_chunk, run_fleet
 from repro.engine.supervisor import (
     ChunkExecutionError,
     ChunkFailure,
     ChunkRetryPolicy,
+    ChunkSupervisor,
+    current_attempt,
 )
 from repro.testing import ChaosChunkRunner, ChaosSpec
 
@@ -382,3 +389,193 @@ class TestStartMethodOverride:
         with watchdog():
             spawned = run_fleet(spec, workers=2, chunk_size=1)
         assert spawned.canonical_json() == inline.canonical_json()
+
+
+def _pid_chunk(spec, indices):
+    """Report which process ran each campaign of the chunk."""
+    return [os.getpid() for _ in indices]
+
+
+def _sleepy_pid_chunk(spec, indices):
+    time.sleep(0.1)
+    return _pid_chunk(spec, indices)
+
+
+def _hang_first_attempt_of_chunk_zero(item):
+    chunk_index, indices = item
+    if chunk_index == 0 and current_attempt() == 0:
+        time.sleep(60.0)
+    return chunk_index, _pid_chunk(None, indices), None
+
+
+class _CountingContext:
+    """A multiprocessing context that counts the worker processes it starts."""
+
+    def __init__(self):
+        self.inner = FleetScheduler._pool_context()
+        self.started = 0
+
+    def Pipe(self, *args, **kwargs):
+        return self.inner.Pipe(*args, **kwargs)
+
+    def Process(self, *args, **kwargs):
+        self.started += 1
+        return self.inner.Process(*args, **kwargs)
+
+
+def _count_processes(monkeypatch) -> _CountingContext:
+    context = _CountingContext()
+    monkeypatch.setattr(
+        FleetScheduler, "_pool_context", staticmethod(lambda: context)
+    )
+    return context
+
+
+def _eight_chunks() -> FleetSpec:
+    return FleetSpec(
+        memories=2, campaigns=8, master_seed=11, backend="reference"
+    )
+
+
+class TestBlockingWait:
+    def test_parent_blocks_instead_of_polling(self, monkeypatch):
+        calls = [0]
+        real_wait = supervisor_module._connection_wait
+
+        def counting_wait(*args, **kwargs):
+            calls[0] += 1
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor_module, "_connection_wait", counting_wait)
+        scheduler = FleetScheduler(
+            _eight_chunks(), workers=2, chunk_size=1,
+            chunk_runner=_sleepy_pid_chunk,
+        )
+        with watchdog():
+            chunks = list(scheduler.stream())
+        assert len(chunks) == 8
+        # One wake-up per reported chunk is the floor; a parent that
+        # polls while chunks queue for a worker makes tens of thousands.
+        assert calls[0] <= 4 * len(chunks), calls[0]
+
+
+class TestPersistentWorkers:
+    def test_fault_free_run_uses_one_process_per_worker(self, monkeypatch):
+        context = _count_processes(monkeypatch)
+        scheduler = FleetScheduler(
+            _eight_chunks(), workers=2, chunk_size=1, chunk_runner=_pid_chunk
+        )
+        before = set(multiprocessing.active_children())
+        with watchdog():
+            pids = {pid for chunk in scheduler.stream() for pid in chunk}
+        _assert_no_orphaned_workers(before)
+        assert len(pids) == 2
+        assert os.getpid() not in pids
+        assert context.started == 2
+
+    def test_each_crash_adds_exactly_one_process(self, monkeypatch):
+        plain = run_fleet(SPEC, workers=2, chunk_size=1)
+        context = _count_processes(monkeypatch)
+        with watchdog():
+            chaotic = run_fleet(
+                SPEC,
+                workers=2,
+                chunk_size=1,
+                chunk_runner=ChaosChunkRunner(CRASH_ONCE),
+                retry=RETRY,
+                telemetry=True,
+            )
+        crashes = SPEC.campaigns  # CRASH_ONCE kills every chunk's first attempt
+        assert chaotic.telemetry.counters.get("fleet.respawns") == crashes
+        assert context.started == 2 + crashes
+        assert chaotic.canonical_json() == plain.canonical_json()
+
+    def test_deadline_kill_replaces_the_worker(self):
+        context = _CountingContext()
+        supervisor = ChunkSupervisor(
+            context=context,
+            workers=1,
+            task=_hang_first_attempt_of_chunk_zero,
+            policy=ChunkRetryPolicy(
+                max_attempts=2, backoff_base_s=0.01, chunk_timeout_s=1.0
+            ),
+        )
+        with watchdog():
+            results = sorted(supervisor.results([(0, (0,)), (1, (1,))]))
+        assert [(index, snapshot) for index, _, snapshot in results] == [
+            (0, None),
+            (1, None),
+        ]
+        # The hung worker was terminated; its replacement ran the retry
+        # of chunk 0 and chunk 1 alike.
+        assert context.started == 2
+        assert len({pid for _, pids, _ in results for pid in pids}) == 1
+        assert supervisor.retries == 1
+        assert supervisor.respawns == 0
+
+
+#: A parent that leaves one idle worker behind and dies by SIGKILL.  The
+#: worker inherits the child's stdout, so the pipe closes only once the
+#: worker has exited too.
+_ORPHANING_PARENT = """
+import multiprocessing, os, signal
+from repro.engine.supervisor import ChunkRetryPolicy, ChunkSupervisor
+
+def task(item):
+    return item[0], [], None
+
+supervisor = ChunkSupervisor(
+    context=multiprocessing.get_context("fork"), workers=1, task=task,
+    policy=ChunkRetryPolicy(),
+)
+results = supervisor.results([(0, (0,)), (1, (1,))])
+next(results)
+print(*(process.pid for process in multiprocessing.active_children()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_idle_worker_exits_when_the_parent_is_killed():
+    child = subprocess.Popen(
+        [sys.executable, "-c", _ORPHANING_PARENT],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    try:
+        output, _ = child.communicate(timeout=20)
+    except subprocess.TimeoutExpired as error:
+        for pid in (error.output or b"").split():
+            os.kill(int(pid), signal.SIGKILL)
+        child.communicate()
+        raise AssertionError("idle worker outlived its killed parent") from None
+    assert child.returncode == -signal.SIGKILL
+    assert len(output.split()) == 1
+
+
+class TestRetryOrder:
+    def test_due_retry_runs_before_later_fresh_chunks(self):
+        order = []
+
+        def task(item):
+            chunk_index, indices = item
+            order.append((chunk_index, current_attempt()))
+            if chunk_index == 1 and current_attempt() == 0:
+                raise RuntimeError("transient")
+            return chunk_index, list(indices), None
+
+        supervisor = ChunkSupervisor(
+            context=None,
+            workers=0,
+            task=task,
+            policy=ChunkRetryPolicy(backoff_base_s=0.0),
+        )
+        results = list(supervisor.results([(i, (i,)) for i in range(4)]))
+        # The retry is due at once, so it goes ahead of chunks 2 and 3
+        # instead of queueing behind every fresh chunk.
+        assert order == [(0, 0), (1, 0), (1, 1), (2, 0), (3, 0)]
+        assert [index for index, _, _ in results] == [0, 1, 2, 3]
+        assert supervisor.retries == 1

@@ -10,6 +10,7 @@ import pytest
 import repro.engine
 import repro.streaming
 from repro.cli import EXIT_INTERRUPTED, main
+from repro.testing import ChaosSpec, corrupt_checkpoint_chunks
 
 FAST = [
     "--memories", "2", "--campaigns", "6", "--no-baseline",
@@ -71,6 +72,59 @@ class TestChaosFlag:
         assert fleet["retries"] >= 6  # every chunk faulted at least once
         assert fleet["quarantined"] == 0
         assert {"respawns", "chunks_recovered"} <= set(fleet)
+
+
+class TestChaosRoundTrip:
+    """Crash, exception and corruption recovery end to end through the CLI.
+
+    The CI ``chaos-smoke`` job runs this test.  Chaos seed 3 kills
+    workers and raises in others across the 12 chunks (the plan is a pure
+    function of the seed), all recovered through one retry each; the
+    store is then corrupted and a quarantine-mode resume heals it.
+    """
+
+    ROUND_TRIP = [
+        "--memories", "2", "--campaigns", "12", "--no-baseline",
+        "--seed", "7", "--workers", "2", "--chunk-size", "1", "--json",
+    ]
+
+    def _fleet(self, capsys, *extra) -> dict:
+        assert main(["fleet", *self.ROUND_TRIP, *extra]) == 0
+        return _comparable(json.loads(capsys.readouterr().out))
+
+    def test_chaos_run_and_corrupted_resume_match_plain(self, tmp_path, capsys):
+        store = tmp_path / "ckpt-chaos"
+        chaos_metrics = tmp_path / "chaos-metrics.json"
+        resumed_metrics = tmp_path / "resumed-metrics.json"
+        plain = self._fleet(capsys, "--checkpoint", str(tmp_path / "ckpt-plain"))
+        assert plain["campaigns"] == 12
+        chaotic = self._fleet(
+            capsys,
+            "--checkpoint", str(store),
+            "--chaos", "seed=3,crash=0.45,exception=0.25,corrupt=0.6",
+            "--max-retries", "2", "--on-chunk-failure", "quarantine",
+            "--metrics-out", str(chaos_metrics),
+        )
+        assert chaotic == plain, "chaos run diverged from the undisturbed run"
+        corrupted = corrupt_checkpoint_chunks(
+            store, ChaosSpec(seed=3, corrupt_rate=0.6)
+        )
+        assert corrupted, "corruption stream selected no chunks"
+        resumed = self._fleet(
+            capsys,
+            "--checkpoint", str(store), "--resume",
+            "--on-chunk-failure", "quarantine",
+            "--metrics-out", str(resumed_metrics),
+        )
+        assert resumed == plain, "corrupted-store resume diverged"
+
+        fleet = json.loads(chaos_metrics.read_text())["fleet"]
+        assert {"retries", "respawns", "quarantined", "chunks_recovered"} <= set(fleet)
+        assert fleet["respawns"] >= 2, fleet  # at least two workers killed
+        assert fleet["retries"] >= fleet["respawns"], fleet
+        assert fleet["quarantined"] == 0, fleet
+        recovered = json.loads(resumed_metrics.read_text())["fleet"]
+        assert recovered["chunks_recovered"] >= 1, recovered
 
 
 class TestRetryFlags:
