@@ -71,12 +71,6 @@ class ProposedReport(Record):
         """True when no memory produced a mismatch."""
         return self.total_failures == 0
 
-    def ecc_corrected_cells(self, memory_name: str) -> set[CellRef]:
-        """Cells the ECC decoder corrected in one memory (empty w/o ECC)."""
-        if not self.ecc or memory_name not in self.ecc:
-            return set()
-        return self.ecc[memory_name].corrected_cellrefs()
-
     @property
     def ecc_masked_reads(self) -> int:
         """Mismatching reads the ECC layer hid from the comparator."""

@@ -6,8 +6,8 @@ observation gap Patel's on-die-ECC work describes.  This package models
 that layer: :mod:`repro.ecc.code` holds the pure-Python extended-Hamming
 SEC-DED decoder, :mod:`repro.ecc.observer` the per-session bookkeeping
 (corrected cells, masked mismatches, uncorrectable reads), and
-:mod:`repro.ecc.vector` the lane-plane vectorized decoder used by the
-numpy/batched engines.
+:mod:`repro.ecc.vector` the lane-plane vectorized decoder the
+numpy/batched engines run once per session.
 """
 
 from repro.ecc.code import EccObservation, SecDedCode, secded_code

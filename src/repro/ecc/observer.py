@@ -83,10 +83,11 @@ class EccObserver:
         uncorrectable: bool,
         check_corrected: bool,
     ) -> None:
-        """Fold one decoder outcome into the counters.
+        """Fold one scalar decoder outcome into the counters.
 
-        The vectorized decoders classify in bulk and call this directly so
-        that scalar and lane-plane paths share one accounting.
+        The fast engine tiers decode a whole session in bulk
+        (:func:`repro.ecc.vector.decode_session`) and fold the sums
+        through :meth:`record_totals` instead.
         """
         if corrected_bit is not None:
             self.corrected_reads += 1
@@ -98,6 +99,27 @@ class EccObserver:
             self.corrected_reads += 1
         elif uncorrectable:
             self.uncorrectable_reads += 1
+
+    def record_totals(
+        self,
+        corrected_reads: int,
+        masked_reads: int,
+        uncorrectable_reads: int,
+        cells,
+    ) -> None:
+        """Fold pre-summed decoder outcomes into the counters.
+
+        ``cells`` holds ``(word, bit, count)`` corrected-cell runs.  Every
+        counter is an order-free sum, so reads folded in bulk account
+        exactly like the same reads passed to :meth:`record` one by one.
+        """
+        self.corrected_reads += corrected_reads
+        self.masked_reads += masked_reads
+        self.uncorrectable_reads += uncorrectable_reads
+        histogram = self._corrected_cells
+        for word, bit, count in cells:
+            key = (word, bit)
+            histogram[key] = histogram.get(key, 0) + count
 
     def summary(self) -> EccMemorySummary:
         """Freeze the counters into an :class:`EccMemorySummary`."""

@@ -10,7 +10,9 @@ exactly -- bit-exactness across backends reduces to both paths computing
 the same pure function of the error pattern.
 
 Only mismatching reads reach the decoder (``error == 0`` produces no
-event), so call sites feed the already-filtered mismatch rows.
+event).  The fast tiers decode once per session: the lanes collect raw
+mismatches and :meth:`repro.engine.kernel.SessionHits.logs` hands all of
+them to :func:`decode_session` in one call.
 """
 
 from __future__ import annotations
@@ -99,45 +101,13 @@ class VectorSecDed:
         return VectorDecode(corrected_bit, masked, uncorrectable, check_corrected)
 
 
-class BucketEcc:
-    """Lane-plane decoder plus the per-member observers of one bucket.
-
-    The batched tier stacks same-geometry memories, so one
-    :class:`VectorSecDed` serves the whole bucket; decode results are
-    recorded into the observer of whichever member each mismatching row
-    belongs to.
-    """
-
-    __slots__ = ("vcode", "observers")
-
-    def __init__(self, bits: int, observers) -> None:
-        self.vcode = vector_secded(bits)
-        self.observers = observers
-
-    def decode_rows(self, members, addresses, error) -> tuple:
-        """Bulk-decode stacked mismatches; see :func:`decode_mismatches`."""
-        outcome = self.vcode.decode(error)
-        bits = outcome.corrected_bit
-        observers = self.observers
-        for index in range(len(members)):
-            bit = int(bits[index])
-            observers[int(members[index])].record(
-                int(addresses[index]),
-                None if bit < 0 else bit,
-                bool(outcome.masked[index]),
-                bool(outcome.uncorrectable[index]),
-                bool(outcome.check_corrected[index]),
-            )
-        return ~outcome.masked, bits
-
-
 def apply_corrections(observed, corrected_bit):
     """Flip each row's corrected data bit (``-1`` = none) in ``observed``.
 
     ``observed`` is the caller's own ``(n, lanes)`` uint64 copy of the
     mismatching reads; the result is the post-correction words the
-    comparator sees.  Rows the decoder fully masked still need dropping
-    by the ``keep`` filter.
+    comparator sees.  Rows the decoder fully masked (``masked``) still
+    need dropping.
     """
     rows = np.nonzero(corrected_bit >= 0)[0]
     if rows.size:
@@ -146,29 +116,52 @@ def apply_corrections(observed, corrected_bit):
     return observed
 
 
-def decode_mismatches(observer, addresses, error) -> tuple:
-    """Bulk-decode mismatching rows, recording every event.
+def decode_session(observers, members, addresses, error) -> VectorDecode:
+    """Decode one session's raw mismatches in bulk and account every outcome.
 
-    ``addresses[i]`` / ``error[i]`` describe one mismatching read of the
-    observer's memory.  Every decoder outcome is folded into ``observer``
-    (same accounting as the scalar path); returns ``(keep,
-    corrected_bit)`` -- a boolean row filter of mismatches that survive
-    correction and the per-row flipped data bit (``-1`` when none), from
-    which callers rebuild the post-correction word.
+    Row ``i`` is a mismatching read of word ``addresses[i]`` of the memory
+    observed by ``observers[members[i]]``, with ``error[i]`` its ``(lanes,)``
+    ``expected ^ observed`` planes.  Each member's observer receives the
+    same totals the scalar :meth:`~repro.ecc.observer.EccObserver.observe`
+    would accumulate read by read; the corrected-cell histogram comes from
+    one ``lexsort`` over ``(member, word, bit)`` and its run lengths.
+    Returns the per-row outcome: the caller flips the corrected bits
+    (:func:`apply_corrections`) and drops the ``masked`` rows.
     """
-    vcode = vector_secded(observer.code.data_bits)
-    outcome = vcode.decode(error)
-    bits = outcome.corrected_bit
-    for index in range(len(addresses)):
-        bit = int(bits[index])
-        observer.record(
-            int(addresses[index]),
-            None if bit < 0 else bit,
-            bool(outcome.masked[index]),
-            bool(outcome.uncorrectable[index]),
-            bool(outcome.check_corrected[index]),
+    outcome = vector_secded(observers[0].code.data_bits).decode(error)
+    count = len(observers)
+    corrected = outcome.corrected_bit >= 0
+    corrected_reads = np.bincount(
+        members[corrected | outcome.check_corrected], minlength=count
+    ).tolist()
+    masked_reads = np.bincount(members[outcome.masked], minlength=count).tolist()
+    uncorrectable_reads = np.bincount(
+        members[outcome.uncorrectable], minlength=count
+    ).tolist()
+    cells: list[list[tuple[int, int, int]]] = [[] for _ in observers]
+    if corrected.any():
+        keys = np.stack(
+            (
+                members[corrected],
+                addresses[corrected],
+                outcome.corrected_bit[corrected],
+            )
         )
-    return ~outcome.masked, bits
+        keys = keys[:, np.lexsort(keys[::-1])]
+        starts = np.flatnonzero(
+            np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
+        )
+        runs = np.diff(np.append(starts, keys.shape[1])).tolist()
+        for member, word, bit, run in zip(*keys[:, starts].tolist(), runs):
+            cells[member].append((word, bit, run))
+    for index, observer in enumerate(observers):
+        observer.record_totals(
+            corrected_reads[index],
+            masked_reads[index],
+            uncorrectable_reads[index],
+            cells[index],
+        )
+    return outcome
 
 
 _VECTOR_CODES: dict[int, VectorSecDed] = {}

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from repro.core.failure_log import FailureLog
 from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
-from repro.ecc.vector import BucketEcc, apply_corrections
 from repro.engine.backends import NumpyBackend, register_backend, vector_capable
 from repro.engine.fault_table import TableEvaluator, lower_bucket
 from repro.engine.kernel import (
@@ -285,14 +284,8 @@ def _run_bucket_session(
     sweep = BucketSweep(
         memories[0].words, scheme.controller_words, lanes_split.replay_masks
     )
-    ecc = None
-    if scheme.ecc is not None:
-        ecc = BucketEcc(
-            memories[0].bits,
-            [scheme.ecc_observers[memory.name] for memory in memories],
-        )
     evaluator = (
-        TableEvaluator(lanes_split.table, sweep, states, ecc)
+        TableEvaluator(lanes_split.table, sweep, states)
         if lanes_split.table is not None
         else None
     )
@@ -306,7 +299,7 @@ def _run_bucket_session(
         counters.add("bucket.clean_rows", int(lanes_split.clean_masks.sum()))
         if evaluator is not None:
             evaluator = _TimedEvaluator(evaluator, counters)
-    hits = SessionHits(lanes)
+    hits = SessionHits(lanes, scheme.ecc_observers)
     tracker = CleanWordTracker()
     for plan in plans:
         if isinstance(plan, PauseStep):
@@ -323,7 +316,6 @@ def _run_bucket_session(
             hits,
             evaluator,
             tracker,
-            ecc,
         )
         if tr.enabled:
             with tr.span(
@@ -358,7 +350,6 @@ def run_element_batched(
     hits: SessionHits,
     evaluator: "TableEvaluator | None" = None,
     tracker: CleanWordTracker | None = None,
-    ecc: "BucketEcc | None" = None,
 ) -> None:
     """Execute one element over a same-geometry stack of memories.
 
@@ -368,11 +359,10 @@ def run_element_batched(
     fault table (:mod:`repro.engine.fault_table`), evaluated inside the
     same block decomposition as the clean rows; ``tracker`` (one per
     bucket session) skips clean compares that provably cannot mismatch.
-    ``ecc`` (the bucket's stacked SEC-DED decoder, also held by the
-    evaluator) filters clean-path mismatches through the on-die
-    correction before they become hits.  Every mismatch lands in
-    ``hits`` under its bucket member -- exactly what
-    :func:`repro.engine.kernel.run_element` would add memory by memory.
+    Every raw mismatch lands in ``hits`` under its bucket member --
+    exactly what :func:`repro.engine.kernel.run_element` would add memory
+    by memory; any on-die ECC decode runs once per session, in
+    :meth:`~repro.engine.kernel.SessionHits.logs`.
     """
     words = sweep_plan.words
     sweep = sweep_plan.sweep
@@ -426,7 +416,6 @@ def run_element_batched(
                     dirty_positions[member],
                     base_cycles,
                     per_address,
-                    ecc.observers[member] if ecc is not None else None,
                 ),
             )
         timebase.tick(base_cycles + sweep * per_address - timebase.cycles)
@@ -498,15 +487,6 @@ def run_element_batched(
                         else:
                             hit_positions = block_positions[row_hits]
                             row_hits = block_rows[row_hits]
-                        observed = states[member_hits, row_hits]
-                        if ecc is not None:
-                            keep, corrected = ecc.decode_rows(
-                                member_hits, row_hits, observed ^ expected_lanes
-                            )
-                            observed = apply_corrections(observed, corrected)[keep]
-                            member_hits = member_hits[keep]
-                            row_hits = row_hits[keep]
-                            hit_positions = hit_positions[keep]
                         hits.add(
                             member_hits,
                             step,
@@ -514,7 +494,7 @@ def run_element_batched(
                             hit_positions,
                             row_hits,
                             expected_lanes,
-                            observed,
+                            states[member_hits, row_hits],
                         )
                     if ctx is not None:
                         if expected_lanes is None:

@@ -63,7 +63,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.ecc.vector import apply_corrections
 from repro.engine.packing import lanes_for, np
 from repro.telemetry.core import tracer as _tracer
 from repro.faults.base import (
@@ -498,17 +497,12 @@ class TableEvaluator:
     announces each element (:meth:`start_element`) and each block
     (:meth:`start_block`), brackets every write op with
     :meth:`prepare_write` / :meth:`commit_write` around its slab
-    assignment, collects read mismatches from :meth:`read_op`, and closes
-    the block with :meth:`end_block` (deferred coupling flips).
+    assignment, collects raw read mismatches from :meth:`read_op`, and
+    closes the block with :meth:`end_block` (deferred coupling flips).
     """
 
-    def __init__(
-        self, table: CompiledFaultTable, sweep_plan, states, ecc=None
-    ) -> None:
+    def __init__(self, table: CompiledFaultTable, sweep_plan, states) -> None:
         self.table = table
-        #: Optional :class:`repro.ecc.vector.BucketEcc` decoding read
-        #: mismatches before they become failure hits.
-        self._ecc = ecc
         self.words = table.words
         # The bucket's stacked state, bound once per session: the flat
         # (n_mem * words, lanes) view turns every gather/scatter into a
@@ -744,9 +738,10 @@ class TableEvaluator:
         reads preserve the flip), intermittent read upsets perturb only
         the observed word.  Commits destructive-read flips to the packed
         state and returns ``(members, words, positions, observed)``
-        parallel arrays over the mismatching rows (``observed`` as
-        post-correction ``(n, lanes)`` planes), or ``None`` when every
-        row read back as expected.
+        parallel arrays over the mismatching rows (``observed`` as raw
+        ``(n, lanes)`` planes; any on-die ECC decode runs once per session
+        in :meth:`repro.engine.kernel.SessionHits.logs`), or ``None`` when
+        every row read back as expected.
         """
         table = self.table
         idx = ctx.idx
@@ -826,16 +821,7 @@ class TableEvaluator:
         rows = idx[hit_idx]
         members = table.rows_member[rows]
         words = table.rows_word[rows]
-        positions = ctx.positions[hit_idx]
-        observed = observed[hit_idx]
-        ecc = self._ecc
-        if ecc is not None:
-            keep, corrected = ecc.decode_rows(
-                members, words, observed ^ expected_lanes
-            )
-            observed = apply_corrections(observed, corrected)[keep]
-            members, words, positions = members[keep], words[keep], positions[keep]
-        return members, words, positions, observed
+        return members, words, ctx.positions[hit_idx], observed[hit_idx]
 
     def _op_now(self, ctx: _BlockContext, op_index: int):
         """Analytic wall clock of op ``op_index`` at each retention entry.

@@ -22,11 +22,13 @@ cost.  This module runs that structure *bit-exactly* but vectorized:
   (retention decay, coupling, read-destructive) observe identical times
   and orderings.
 
-Mismatches from both populations land in one :class:`SessionHits`
-accumulator per session, which sorts them once into the reference's
-address-major order and hands each memory a columnar
-:class:`~repro.core.failure_log.FailureLog` -- result equality is exact
-down to record order, without building a record per failing read.
+Raw mismatches from both populations land in one :class:`SessionHits`
+accumulator per session.  At the end of the session it runs the on-die
+SEC-DED decoder over all of them at once (when ECC is configured), sorts
+the survivors into the reference's address-major order and hands each
+memory a columnar :class:`~repro.core.failure_log.FailureLog` -- result
+equality is exact down to record order, without building a record per
+failing read.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.failure_log import FailureLog, unpack_columns
-from repro.ecc.vector import apply_corrections, decode_mismatches
+from repro.ecc.vector import apply_corrections, decode_session
 from repro.engine.packing import lanes_for, np, pack_state, word_to_lanes
 from repro.march.ops import Operation
 from repro.memory.sram import SRAM
@@ -73,15 +75,23 @@ class SessionHits:
 
     The vector lanes add whole hit arrays per (element, read op, block);
     the scalar replay and fallback lanes add ``(position, op, address,
-    expected, observed)`` tuples.  :meth:`logs` orders everything with one
-    stable sort on (member, step, sweep position, op) -- the reference's
-    record order -- and splits it into one
+    expected, observed)`` tuples.  Every lane adds *raw* observations:
+    with ``observers`` set (memory name ->
+    :class:`~repro.ecc.observer.EccObserver`), :meth:`logs` decodes the
+    whole session's mismatches in one SEC-DED pass.  That is exact
+    because the decoder is a pure function of ``expected ^ observed``
+    and nothing inside a fast session reads the corrected word except
+    the failure log.  :meth:`logs` then orders the surviving rows with
+    one stable sort on (member, step, sweep position, op) -- the
+    reference's record order -- and splits them into one
     :class:`~repro.core.failure_log.FailureLog` per member.  A session
     without mismatches allocates no arrays.
     """
 
-    def __init__(self, lanes: int) -> None:
+    def __init__(self, lanes: int, observers=None) -> None:
         self.lanes = lanes
+        #: ECC observer per memory name (empty or ``None``: raw, no decode).
+        self.observers = observers
         #: ``(members, step, op, positions, addresses, expected_lanes,
         #: observed)`` per vector read op; expanded to columns in :meth:`logs`.
         self._chunks: list[tuple] = []
@@ -103,44 +113,12 @@ class SessionHits:
         """One reference-ordered failure log per member (``names`` order)."""
         if not self._chunks and not self._scalar:
             return [FailureLog.from_records(name, bits) for name in names]
-        # Both sources as (member, step, op, position, address, expected,
-        # observed) columns.
-        sources = []
-        chunks = self._chunks
-        if chunks:
-            sizes = [chunk[3].size for chunk in chunks]
-            members, steps, ops, positions, addresses, expected, observed = zip(
-                *chunks
+        columns = self._columns()
+        if self.observers:
+            columns = self._decode(
+                [self.observers[name] for name in names], *columns
             )
-            sources.append(
-                (
-                    np.concatenate(members),
-                    np.repeat(steps, sizes),
-                    np.repeat(ops, sizes),
-                    np.concatenate(positions),
-                    np.concatenate(addresses),
-                    np.repeat(np.stack(expected), sizes, axis=0),
-                    np.concatenate(observed),
-                )
-            )
-        if self._scalar:
-            member, step, position, op, address, expected, observed = zip(
-                *self._scalar
-            )
-            sources.append(
-                (
-                    np.array(member),
-                    np.array(step),
-                    np.array(op),
-                    np.array(position),
-                    np.array(address),
-                    pack_state(expected, self.lanes),
-                    pack_state(observed, self.lanes),
-                )
-            )
-        member, step, op, position, address, expected, observed = (
-            np.concatenate(column) for column in zip(*sources)
-        )
+        member, step, op, position, address, expected, observed = columns
         order = np.lexsort((op, position, step, member))
         step, op, address = step[order], op[order], address[order]
         expected, observed = expected[order], observed[order]
@@ -166,6 +144,59 @@ class SessionHits:
             )
             start = end
         return logs
+
+    def _columns(self) -> tuple:
+        """Every hit as ``(member, step, op, position, address, expected,
+        observed)`` columns, each built with one concatenation.
+
+        Scalar hits join as one-row pieces; the collected pieces are
+        released on return, before any decode allocates.
+        """
+        chunks, scalar = self._chunks, self._scalar
+        self._chunks, self._scalar = [], []
+        members, steps, ops, positions, addresses, expected, observed = [
+            list(column) for column in zip(*chunks)
+        ] or [[] for _ in range(7)]
+        sizes = [piece.size for piece in positions] + [1] * len(scalar)
+        words = [np.stack(expected)] if expected else []
+        if scalar:
+            member, step, position, op, address, wanted, seen = zip(*scalar)
+            members.append(np.array(member))
+            steps.extend(step)
+            ops.extend(op)
+            positions.append(np.array(position))
+            addresses.append(np.array(address))
+            words.append(pack_state(wanted, self.lanes))
+            observed.append(pack_state(seen, self.lanes))
+        return (
+            np.concatenate(members),
+            np.repeat(steps, sizes),
+            np.repeat(ops, sizes),
+            np.concatenate(positions),
+            np.concatenate(addresses),
+            np.repeat(np.concatenate(words), sizes, axis=0),
+            np.concatenate(observed),
+        )
+
+    @staticmethod
+    def _decode(observers, member, step, op, position, address, expected, observed):
+        """The session's one SEC-DED pass: account, correct, drop masked."""
+        tr = _tracer()
+        if tr.enabled:
+            with tr.span("ecc.decode", "ecc", rows=int(member.size)):
+                outcome = decode_session(
+                    observers, member, address, expected ^ observed
+                )
+            tr.counters.add("ecc.rows_decoded", int(member.size))
+            tr.counters.add("ecc.rows_masked", int(outcome.masked.sum()))
+        else:
+            outcome = decode_session(observers, member, address, expected ^ observed)
+        observed = apply_corrections(observed, outcome.corrected_bit)
+        columns = (member, step, op, position, address, expected, observed)
+        if not outcome.masked.any():
+            return columns
+        keep = ~outcome.masked
+        return tuple(column[keep] for column in columns)
 
 
 @dataclass
@@ -264,7 +295,6 @@ def replay_dirty_rows(
     local_rows,
     base_cycles: int,
     per_address: int,
-    ecc=None,
 ) -> list[tuple[int, int, int, int, int]]:
     """Behavioural replay of fault-hooked rows in exact sweep order.
 
@@ -279,7 +309,6 @@ def replay_dirty_rows(
         positions[dirty_mask[local_rows]].tolist(),
         base_cycles,
         per_address,
-        ecc,
     )
 
 
@@ -289,7 +318,6 @@ def replay_dirty_positions(
     dirty_positions: list[int],
     base_cycles: int,
     per_address: int,
-    ecc=None,
 ) -> list[tuple[int, int, int, int, int]]:
     """:func:`replay_dirty_rows` with the sweep positions pre-resolved.
 
@@ -303,11 +331,6 @@ def replay_dirty_positions(
     :meth:`~repro.memory.sram.SRAM.replay_write`), which is exact because
     every caller of the vector path has already established the
     fault-free-decoder/mux, no-tracing preconditions.
-
-    ``ecc`` is the memory's :class:`repro.ecc.observer.EccObserver` (or
-    ``None`` for raw observation): each mismatch is decoded scalar-wise --
-    the replay lane is scalar anyway -- and masked mismatches produce no
-    hit.
     """
     tr = _tracer()
     if tr.enabled and dirty_positions:
@@ -344,10 +367,6 @@ def replay_dirty_positions(
                     tick(extra_ticks)
                 expected = expected_wrapped if wrapped else expected_plain
                 if observed != expected:
-                    if ecc is not None:
-                        observed = ecc.observe(local, expected, observed)
-                        if observed == expected:
-                            continue
                     hits.append((position, op_index, local, expected, observed))
             else:
                 write(local, write_word, is_nwrc)
@@ -362,15 +381,13 @@ def run_element(
     plan: ElementPlan,
     lanes: int,
     hits: SessionHits,
-    ecc=None,
 ) -> None:
-    """Execute one element, adding its mismatches to ``hits`` (member 0).
+    """Execute one element, adding its raw mismatches to ``hits`` (member 0).
 
     ``state`` is the packed ``(words, lanes)`` array -- authoritative for
     clean rows only (dirty rows live in the memory's behavioural state).
-    With ``ecc`` (the memory's observer) set, clean-path mismatches go
-    through the lane-plane SEC-DED decoder in bulk and masked rows are
-    dropped before they become hits.
+    Any on-die ECC decode happens once per session, in
+    :meth:`SessionHits.logs`.
     """
     words = memory.words
     sweep = plan.sweep_length
@@ -401,7 +418,7 @@ def run_element(
             step,
             replay_dirty_rows(
                 memory, dirty_mask, plan, positions, local_rows, base_cycles,
-                per_address, ecc,
+                per_address,
             ),
         )
 
@@ -436,23 +453,14 @@ def run_element(
                     if mismatch.any():
                         index = np.nonzero(mismatch)[0]
                         hit_rows = rows[index]
-                        hit_positions = block_positions[index]
-                        observed = state[hit_rows]
-                        if ecc is not None:
-                            keep, corrected = decode_mismatches(
-                                ecc, hit_rows, observed ^ expected_lanes
-                            )
-                            observed = apply_corrections(observed, corrected)[keep]
-                            hit_rows = hit_rows[keep]
-                            hit_positions = hit_positions[keep]
                         hits.add(
                             np.zeros(hit_rows.size, dtype=np.int64),
                             step,
                             op_index,
-                            hit_positions,
+                            block_positions[index],
                             hit_rows,
                             expected_lanes,
-                            observed,
+                            state[hit_rows],
                         )
                 else:
                     state[rows] = word_to_lanes(op_plan.write_word, lanes)
@@ -462,13 +470,13 @@ def run_element(
 
 
 def run_element_slow(
-    memory: SRAM, plan: ElementPlan, ecc=None
+    memory: SRAM, plan: ElementPlan
 ) -> list[tuple[int, int, int, int, int]]:
     """Pure-Python fallback executing a plan exactly like the reference.
 
     Used for memories the vector path cannot represent (decoder or
     column-mux faults, access tracing); behaviour and clocking match the
-    reference implementations cycle for cycle.  Returns ``(position,
+    reference implementations cycle for cycle.  Returns raw ``(position,
     op_index, address, expected, observed)`` hits in sweep order.
     """
     words = memory.words
@@ -489,10 +497,6 @@ def run_element_slow(
                     op_plan.expected_wrapped if wrapped else op_plan.expected_plain
                 )
                 if observed != expected:
-                    if ecc is not None:
-                        observed = ecc.observe(local, expected, observed)
-                        if observed == expected:
-                            continue
                     hits.append((position, op_index, local, expected, observed))
             elif operation.is_nwrc:
                 memory.nwrc_write(local, op_plan.write_word)

@@ -316,16 +316,15 @@ def _run_memory_session(
     vector = vector_capable(memory)
     if vector:
         state, clean_mask, dirty_mask, lanes = pack_memory(memory)
-    ecc = scheme.ecc_observers.get(memory.name)
 
     def run(plan: ElementPlan) -> None:
         if vector:
-            run_element(memory, state, clean_mask, dirty_mask, plan, lanes, hits, ecc)
+            run_element(memory, state, clean_mask, dirty_mask, plan, lanes, hits)
         else:
-            hits.add_scalar(0, plan.step_index, run_element_slow(memory, plan, ecc))
+            hits.add_scalar(0, plan.step_index, run_element_slow(memory, plan))
 
     tr = _tracer()
-    hits = SessionHits(lanes_for(memory.bits))
+    hits = SessionHits(lanes_for(memory.bits), scheme.ecc_observers)
     plans = session_step_plans(scheme, memory, algorithm)
     for plan in plans:
         if isinstance(plan, PauseStep):

@@ -3,9 +3,11 @@
 Three layers are pinned here:
 
 * the session hit accumulator (:class:`repro.engine.kernel.SessionHits`)
-  over random hit sets -- vector chunks and scalar hits in any insertion
-  order, two-lane words, descending and wrapping sweeps, ECC-corrected
-  observations -- materializes exactly the reference record order, and
+  over random raw hit sets -- vector chunks and scalar hits in any
+  insertion order, two-lane words, descending and wrapping sweeps, with
+  and without its once-per-session SEC-DED decode -- materializes exactly
+  the reference record order of the scalar decode path, its observers
+  match scalar :class:`~repro.ecc.observer.EccObserver` summaries, and
   its cell ids are the union of the records' ``failing_cells()``;
 * whole sessions: every engine backend's logs equal the reference
   simulator's record lists, with matching cell ids and addresses;
@@ -21,8 +23,8 @@ from hypothesis import strategies as st
 from repro.core.campaign import DiagnosisCampaign
 from repro.core.failure_log import FailureLog
 from repro.core.scheme import FastDiagnosisScheme
-from repro.ecc.observer import EccConfig
-from repro.ecc.vector import apply_corrections
+from repro.ecc.code import secded_code
+from repro.ecc.observer import EccConfig, EccObserver
 from repro.engine.kernel import ElementPlan, OpPlan, SessionHits
 from repro.engine.packing import np, pack_state
 from repro.engine.session import run_session
@@ -56,9 +58,10 @@ def cell_union(records, bits: int) -> list[int]:
 def hit_sessions(draw):
     """A random session plan plus a random set of mismatching reads.
 
-    Returns ``(bits, words, plans, hits)`` where each hit is ``(member,
-    step, position, op, address, expected, raw_observed, corrected_bit)``
-    and ``corrected_bit`` (``-1`` = none) is the decoder's data-bit flip.
+    Returns ``(bits, words, plans, hits)`` mapping ``(member, step,
+    position, op)`` to ``(address, expected, raw_observed)``.  Error
+    patterns favour one and two flipped bits, the weights SEC-DED masks
+    and flags, over arbitrary ones.
     """
     bits = TWO_LANE_BITS
     words = draw(st.integers(min_value=1, max_value=6))
@@ -112,31 +115,46 @@ def hit_sessions(draw):
         wrapped = position >= words
         expected = op_plan.expected_wrapped if wrapped else op_plan.expected_plain
         local = (position if plan.ascending else sweep - 1 - position) % words
-        syndrome = draw(st.integers(min_value=1, max_value=(1 << bits) - 1))
-        corrected = draw(st.sampled_from([-1, -1, draw(st.integers(0, bits - 1))]))
+        flipped = draw(
+            st.one_of(
+                st.lists(st.integers(0, bits - 1), min_size=1, max_size=2),
+                st.just([]),
+            )
+        )
+        if flipped:
+            syndrome = sum({1 << bit for bit in flipped})
+        else:
+            syndrome = draw(st.integers(min_value=1, max_value=(1 << bits) - 1))
         hits[(member, plan.step_index, position, op)] = (
             local,
             expected,
             expected ^ syndrome,
-            corrected,
         )
     return bits, words, plans, hits
 
 
 class TestSessionHitsProperty:
     @settings(max_examples=120, deadline=None)
-    @given(hit_sessions(), st.data())
-    def test_logs_materialize_reference_order_and_cells(self, session, data):
+    @given(hit_sessions(), st.booleans(), st.data())
+    def test_logs_materialize_reference_order_and_cells(
+        self, session, with_ecc, data
+    ):
+        """Raw mismatches in, any lane mix and add order: the logs and
+        observer summaries equal the scalar decode path's."""
         bits, words, plans, hits = session
         lanes = 2
         names = ["m0", "m1", "m2"]
+        code = secded_code(bits)
+        scalar_observers = [EccObserver(name, code) for name in names]
         expected_records = {name: [] for name in names}
         vector_groups: dict[tuple, list] = {}
         scalar_groups: dict[tuple, list] = {}
         for key in sorted(hits):
             member, step, position, op = key
-            local, expected, raw, corrected = hits[key]
-            observed = raw if corrected < 0 else raw ^ (1 << corrected)
+            local, expected, raw = hits[key]
+            observed = raw
+            if with_ecc:
+                observed = scalar_observers[member].observe(local, expected, raw)
             if observed != expected:
                 plan = plans[step]
                 expected_records[names[member]].append(
@@ -148,40 +166,36 @@ class TestSessionHitsProperty:
                 )
             if data.draw(st.booleans(), label="vector lane"):
                 vector_groups.setdefault((step, op, position >= words), []).append(
-                    (member, position, local, expected, raw, corrected)
+                    (member, position, local, expected, raw)
                 )
-            elif observed != expected:
+            else:
                 scalar_groups.setdefault((member, step), []).append(
-                    (position, op, local, expected, observed)
+                    (position, op, local, expected, raw)
                 )
 
         additions = []
         for (step, op, _), rows in vector_groups.items():
-            member, position, local, expected, raw, corrected = zip(*rows)
-            # The engine's ECC step: flip the corrected bit, then drop the
-            # reads the correction fully masked.
-            observed = apply_corrections(
-                pack_state(raw, lanes), np.array(corrected, dtype=np.int64)
-            )
-            expected_lanes = pack_state([expected[0]], lanes)[0]
-            keep = (observed != expected_lanes).any(axis=1)
+            member, position, local, expected, raw = zip(*rows)
             additions.append(
                 (
                     "add",
                     (
-                        np.array(member, dtype=np.int64)[keep],
+                        np.array(member, dtype=np.int64),
                         step,
                         op,
-                        np.array(position, dtype=np.int64)[keep],
-                        np.array(local, dtype=np.int64)[keep],
-                        expected_lanes,
-                        observed[keep],
+                        np.array(position, dtype=np.int64),
+                        np.array(local, dtype=np.int64),
+                        pack_state([expected[0]], lanes)[0],
+                        pack_state(raw, lanes),
                     ),
                 )
             )
         for (member, step), rows in scalar_groups.items():
             additions.append(("add_scalar", (member, step, rows)))
-        collector = SessionHits(lanes)
+        observers = [EccObserver(name, code) for name in names]
+        collector = SessionHits(
+            lanes, dict(zip(names, observers)) if with_ecc else None
+        )
         for method, args in data.draw(st.permutations(additions), label="order"):
             getattr(collector, method)(*args)
 
@@ -193,6 +207,9 @@ class TestSessionHitsProperty:
             assert log.addresses() == sorted({record.address for record in records})
             assert log == records
             assert list(log) == records
+        assert [o.summary() for o in observers] == [
+            o.summary() for o in scalar_observers
+        ]
 
 
 def diagnose_all(bank_factory, ecc):
@@ -259,6 +276,8 @@ class TestSessionLogsMatchReference:
                 assert log.cell_ids() == cell_union(reference_records, bits), backend
                 assert log.addresses() == records.addresses(), backend
                 assert report.detected_cells(name) == reference.detected_cells(name)
+        for report in engines.values():
+            assert report.ecc == reference.ecc
 
 
 class TestFailureLogBasics:

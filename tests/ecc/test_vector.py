@@ -4,15 +4,18 @@ The vectorized decoder must classify every error pattern exactly like the
 scalar reference -- that is the whole bit-exactness argument of the ECC
 layer -- so this suite fuzzes random widths (including multi-lane words
 beyond 64 bits) and random error patterns, comparing outcome flags,
-corrected bits and observer accounting.
+corrected bits and observer accounting through the session-level decode
+the fast engine tiers run.
 """
 
 import numpy as np
 import pytest
 
 from repro.ecc import EccObserver, secded_code
-from repro.ecc.vector import decode_mismatches, vector_secded
-from repro.engine.packing import lanes_for
+from repro.ecc.vector import vector_secded
+from repro.engine.kernel import ElementPlan, OpPlan, SessionHits
+from repro.engine.packing import lanes_for, word_to_lanes
+from repro.march.ops import Operation, OpKind
 from repro.util.rng import make_rng
 
 
@@ -57,7 +60,10 @@ def test_vector_decode_matches_scalar(bits):
 
 
 @pytest.mark.parametrize("bits", [8, 13, 64, 70])
-def test_decode_mismatches_matches_scalar_observer(bits):
+def test_session_decode_matches_scalar_observer(bits):
+    """Raw mismatches through ``SessionHits.logs`` (alternating vector and
+    scalar lanes, repeated cells) account, correct and drop rows exactly
+    like the scalar observer decoding them one read at a time."""
     code = secded_code(bits)
     rng = make_rng(0xECC1 + bits)
     errors = draw_errors(bits, rng, count=40)
@@ -70,15 +76,46 @@ def test_decode_mismatches_matches_scalar_observer(bits):
         for a, w, e in zip(addresses, expected_words, errors)
     ]
 
-    vector = EccObserver("m", code)
-    keep, corrected = decode_mismatches(
-        vector, np.asarray(addresses), pack_words(errors, bits)
+    lanes = lanes_for(bits)
+    read = OpPlan(
+        op=Operation(OpKind.READ, 0),
+        operation="r0",
+        write_word=None,
+        expected_plain=0,
+        expected_wrapped=0,
+        tick_cost=1,
     )
+    plan = ElementPlan(
+        step_index=0,
+        step_label="M0",
+        record_background=0,
+        deliver_ticks=0,
+        ascending=True,
+        sweep_length=len(errors),
+        ops=(read,),
+    )
+    vector = EccObserver("m", code)
+    hits = SessionHits(lanes, {"m": vector})
+    for position, (a, w, e) in enumerate(zip(addresses, expected_words, errors)):
+        if position % 2:
+            hits.add_scalar(0, 0, [(position, 0, a, w, w ^ e)])
+        else:
+            hits.add(
+                np.zeros(1, dtype=np.int64),
+                0,
+                0,
+                np.array([position]),
+                np.array([a]),
+                word_to_lanes(w, lanes),
+                pack_words([w ^ e], bits),
+            )
+    (log,) = hits.logs(["m"], bits, [plan])
+
     assert vector.summary() == scalar.summary()
-    for row, (word, error) in enumerate(zip(expected_words, errors)):
-        observed = word ^ error
-        post = observed
-        if int(corrected[row]) >= 0:
-            post = observed ^ (1 << int(corrected[row]))
-        assert post == post_words[row]
-        assert bool(keep[row]) == (post != word)
+    survivors = [
+        (a, w, post)
+        for a, w, post in zip(addresses, expected_words, post_words)
+        if post != w
+    ]
+    assert 0 < len(survivors) < len(errors)  # some rows masked, some not
+    assert [(r.address, r.expected, r.observed) for r in log] == survivors

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.ecc.vector import VectorSecDed
+from repro.engine.kernel import SessionHits
 from repro.scenarios import (
     SCENARIO_PRESETS,
     ScenarioSpec,
@@ -14,6 +17,7 @@ from repro.scenarios import (
     run_scenario_fleet,
     summarize_scenario_campaign,
 )
+from repro.telemetry.core import NULL_TRACER, activate, set_tracer
 
 SMALL = ScenarioSpec(
     shapes=((16, 8, "fl_wide"), (12, 6, "fl_narrow")),
@@ -240,6 +244,72 @@ class TestEccFlow:
         ecc = run_scenario_campaign(self.ECC, 0)
         assert ecc.escape_rate >= raw.escape_rate
         assert ecc.escaped_faults - raw.escaped_faults <= ecc.ecc_masked_escaped
+
+
+class TestEccSessionDecode:
+    """The fast tiers decode SEC-DED once per session, not once per read."""
+
+    SPEC = preset_spec(
+        "burn-in-soft-error",
+        memories=8,
+        campaigns=2,
+        master_seed=1,
+        ecc="secded",
+        spare_rows=4,
+        spare_cols=4,
+    )
+
+    @pytest.mark.parametrize("backend", ["numpy", "batched"])
+    def test_one_decode_per_session_with_mismatches(self, backend, monkeypatch):
+        decodes = []
+        sessions = []
+        decode = VectorSecDed.decode
+        logs = SessionHits.logs
+
+        def counting_decode(self, error):
+            decodes.append(error.shape[0])
+            return decode(self, error)
+
+        def counting_logs(self, *args):
+            had_mismatches = bool(self._chunks or self._scalar)
+            before = len(decodes)
+            result = logs(self, *args)
+            sessions.append((had_mismatches, len(decodes) - before))
+            return result
+
+        monkeypatch.setattr(VectorSecDed, "decode", counting_decode)
+        monkeypatch.setattr(SessionHits, "logs", counting_logs)
+        report = run_scenario_campaign(
+            dataclasses.replace(self.SPEC, backend=backend), 0
+        )
+        assert report.ecc_masked_reads > 0
+        assert sum(calls for _, calls in sessions) == len(decodes)
+        assert all(calls == int(had) for had, calls in sessions)
+
+    def test_decode_counters_match_masked_reads(self):
+        tracer = activate()
+        try:
+            reports = [
+                run_scenario_campaign(self.SPEC, index)
+                for index in range(self.SPEC.campaigns)
+            ]
+        finally:
+            set_tracer(NULL_TRACER)
+        masked = sum(report.ecc_masked_reads for report in reports)
+        assert masked > 0
+        assert tracer.counters.get("ecc.rows_masked") == masked
+        assert tracer.counters.get("ecc.rows_decoded") > masked
+        assert tracer.span_stats["ecc.decode"][0] > 0
+
+    def test_decode_telemetry_leaves_results_alone(self):
+        plain = run_scenario_fleet(self.SPEC, workers=1)
+        traced = run_scenario_fleet(self.SPEC, workers=1, telemetry=True)
+        assert json.dumps(plain.deterministic_dict(), sort_keys=True) == json.dumps(
+            traced.deterministic_dict(), sort_keys=True
+        )
+        metrics = traced.telemetry.to_json_dict()
+        assert metrics["counters"]["ecc.rows_masked"] > 0
+        assert metrics["span_stats"]["ecc.decode"]["count"] > 0
 
 
 class TestBisrFlow:

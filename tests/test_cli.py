@@ -257,3 +257,20 @@ class TestTelemetryFlags:
              "--workers", "1", "--telemetry"]
         ) == 0
         assert "telemetry:" in capsys.readouterr().out
+
+    def test_scenario_exports_the_session_ecc_decode(self, capsys, tmp_path):
+        import json
+
+        trace = tmp_path / "trace.json"
+        metrics = tmp_path / "metrics.json"
+        assert main(
+            ["scenario", "--preset", "burn-in-soft-error", "--memories", "4",
+             "--campaigns", "1", "--workers", "1", "--ecc", "secded",
+             "--trace-out", str(trace), "--metrics-out", str(metrics)]
+        ) == 0
+        flat = json.loads(metrics.read_text())
+        counters = flat["counters"]
+        assert counters["ecc.rows_decoded"] >= counters["ecc.rows_masked"] > 0
+        assert flat["span_stats"]["ecc.decode"]["count"] > 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert any(event["name"] == "ecc.decode" for event in events)

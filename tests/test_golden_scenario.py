@@ -291,3 +291,35 @@ class TestEccBisrCli:
             payload["spec"].pop("backend")
             payloads.append(payload)
         assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_preset_rates_agree_across_backends_over_two_campaigns(self, capsys):
+        """Two flows at the buffer-cluster preset's own defect rates: every
+        backend reports the same post-correction aggregates, one
+        masked-escape sample per campaign and the BISR spare totals."""
+        args = [
+            "scenario",
+            "--soc", "buffer-cluster",
+            "--campaigns", "2",
+            "--workers", "1",
+            "--no-burn-in",
+            "--ecc", "secded",
+            "--spare-rows", "4",
+            "--spare-cols", "2",
+            "--json",
+        ]
+        payloads = []
+        for backend in ("reference", "numpy", "batched"):
+            assert main([*args, "--backend", backend]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            for key in ("elapsed_s", "campaigns_per_sec", "plan_cache"):
+                payload.pop(key)
+            payload["spec"].pop("backend")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1] == payloads[2]
+        scenario = payloads[0]["scenario"]
+        ecc = scenario["ecc"]
+        assert ecc["campaigns"] == 2
+        assert ecc["corrected_reads"] > 0
+        assert ecc["masked_escape_rate"]["count"] == ecc["campaigns"]
+        assert "repair_yield" in scenario
+        assert "repaired_rows" in scenario and "repaired_cols" in scenario
