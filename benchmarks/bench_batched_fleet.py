@@ -2,8 +2,7 @@
 
 Thin wrapper over :mod:`repro.analysis.bench` (the measurement library
 behind ``repro bench``).  Emits one JSON document (save it as
-``BENCH_fault_tables.json`` to track the performance trajectory; the
-pre-fault-table curve is frozen in ``BENCH_batched.json``)::
+``BENCH_fault_tables.json`` to track the performance trajectory)::
 
     PYTHONPATH=src python benchmarks/bench_batched_fleet.py [--quick] [--out PATH]
 

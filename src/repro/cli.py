@@ -853,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0, help="master seed")
     sweep.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "numpy", "batched", "auto"),
         default="auto",
     )
     sweep.add_argument(
@@ -889,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--no-baseline", action="store_true")
     campaign.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "numpy", "batched", "auto"),
         default="reference",
         help="march-simulation backend for the proposed-scheme sessions",
     )
@@ -912,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--no-repair", action="store_true")
     fleet.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "numpy", "batched", "auto"),
         default="auto",
     )
     fleet.add_argument(
@@ -999,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--no-burn-in", action="store_true")
     scenario.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "numpy", "batched", "auto"),
         default="auto",
     )
     scenario.add_argument(
@@ -1070,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--seed", type=int, default=0, help="master seed")
     monitor.add_argument(
         "--backend",
-        choices=("reference", "numpy", "fast", "batched", "auto"),
+        choices=("reference", "numpy", "batched", "auto"),
         default="auto",
     )
     monitor.add_argument(

@@ -107,9 +107,9 @@ class DiagnosisCampaign:
         self.sampler = sampler
         #: March-simulation backend for the proposed-scheme *and* baseline
         #: sessions: ``reference`` (the classic cell-by-cell path),
-        #: ``numpy``/``fast`` (vectorized, bit-identical results),
-        #: ``batched`` (same-geometry memories swept as one stacked array
-        #: per vector op, bit-identical again) or ``auto``.  See
+        #: ``numpy`` (vectorized, bit-identical results), ``batched``
+        #: (same-geometry memories swept as one stacked array per vector
+        #: op, bit-identical again) or ``auto``.  See
         #: :mod:`repro.engine.backends` and :mod:`repro.engine.batched`.
         self.backend = backend
         #: Defect-class mix for fault sampling (defaults to the paper's
@@ -186,9 +186,10 @@ class DiagnosisCampaign:
     def diagnose_proposed(self, scheme: FastDiagnosisScheme) -> ProposedReport:
         """Run one session through the configured backend.
 
-        ``run_session`` dispatches the ``batched`` backend to the
-        fleet-batched stacked sweep and everything else to the per-memory
-        fast path or the reference, all bit-identical.
+        ``run_session`` runs the ``numpy`` and ``batched`` backends
+        through the vector stack runner (one-deep stacks or geometry
+        stacks) and everything else through the reference, all
+        bit-identical.
         """
         if self.backend == "reference":
             return scheme.diagnose()

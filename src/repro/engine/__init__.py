@@ -4,9 +4,11 @@ The engine is the execution layer above the paper's single-session models:
 
 * :mod:`repro.engine.backends` -- registry of interchangeable march
   simulation backends (pure-Python reference, numpy bit-parallel);
-* :mod:`repro.engine.batched` -- the fleet tier: same-geometry memories
-  stacked into one ``(n_mem, words, lanes)`` array, each march element a
-  single fleet-wide vector op, selected by the geometry-bucketing planner;
+* :mod:`repro.engine.kernel` -- the one vector march-element executor
+  every numpy and batched run goes through, over stacks of memories;
+* :mod:`repro.engine.batched` -- the session planner: one-deep stacks
+  for numpy, and for the fleet tier same-geometry memories stacked into
+  one ``(n_mem, words, lanes)`` array with a compiled fault table;
 * :mod:`repro.engine.session` -- fast, bit-exact execution of a full
   proposed-scheme diagnosis session;
 * :mod:`repro.engine.baseline_session` -- fast, bit-exact execution of the

@@ -13,19 +13,21 @@ backends ship:
 ``numpy``
     Bit-parallel: packs the word array into ``uint64`` lanes and applies
     march elements as whole-array ops, replaying only fault-hooked words
-    through the behavioural path (see :mod:`repro.engine.kernel`).
-    Bit-exact against the reference by construction and validated across
-    the fault library in the test suite.  Falls back to the reference for
-    configurations the vector path cannot represent (decoder/column-mux
-    faults, access tracing, stop-on-first-failure).
+    through the behavioural path.  Raw runs and sessions both go through
+    the engine's one vector executor (:func:`repro.engine.kernel.run_stack`)
+    as one-deep stacks.  Bit-exact against the reference by construction
+    and validated across the fault library in the test suite.  Falls back
+    to the reference for configurations the vector path cannot represent
+    (decoder/column-mux faults, access tracing, stop-on-first-failure).
 
 ``batched``
     The fleet tier (:mod:`repro.engine.batched`, registered on import of
     :mod:`repro.engine`): identical to ``numpy`` for raw single-memory
-    runs, but diagnosis sessions stack all same-geometry memories of the
-    bank into one ``(n_mem, words, lanes)`` array and sweep each march
-    element fleet-wide.  The fleet scheduler upgrades ``auto`` to it when
-    geometry bucketing pays off.
+    runs, but diagnosis sessions hand the same executor every
+    same-geometry memory of the bank as one ``(n_mem, words, lanes)``
+    stack, with lowerable faults evaluated through the compiled fault
+    table.  The fleet scheduler upgrades ``auto`` to it when geometry
+    bucketing pays off.
 
 The registry maps names to backend factories so later PRs (and user code)
 can plug in further implementations::
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.engine.kernel import ElementPlan, OpPlan, run_stack
 from repro.engine.packing import HAVE_NUMPY, require_numpy
 from repro.march.algorithm import MarchAlgorithm, PauseStep
 from repro.march.element import AddressOrder
@@ -53,9 +56,8 @@ def vector_capable(memory: SRAM) -> bool:
 
     The single source of truth for the vector precondition: an ideal
     address decoder and column mux, and no access tracing.  Shared by the
-    numpy backend's ``supports`` checks, the per-memory session runner and
-    the batched tier's geometry planner, so a new capability condition
-    only needs to land here.
+    numpy backend's ``supports`` checks and the session planner, so a new
+    capability condition only needs to land here.
     """
     return (
         not memory.trace
@@ -141,61 +143,49 @@ class NumpyBackend(MarchBackend):
     def run(self, memory: SRAM, algorithm: MarchAlgorithm) -> MarchResult:
         if not self.supports(memory):
             return self._fallback.run(memory, algorithm)
-        from repro.engine.kernel import (
-            ElementPlan,
-            OpPlan,
-            SessionHits,
-            pack_memory,
-            run_element,
-            sync_clean_rows,
-        )
-
         require(
             algorithm.bits == memory.bits,
             f"algorithm width {algorithm.bits} != memory width {memory.bits}",
         )
-        words, bits = memory.words, memory.bits
-        state, clean_mask, dirty_mask, lanes = pack_memory(memory)
-
+        plans = [
+            step if isinstance(step, PauseStep) else _element_plan(index, step, memory)
+            for index, step in enumerate(algorithm.steps)
+        ]
         result = MarchResult(algorithm.name, memory.name)
-        hits = SessionHits(lanes)
-        plans: list = []
         start_cycles = memory.timebase.cycles
         start_ns = memory.now_ns
-        for step_index, step in enumerate(algorithm.steps):
-            if isinstance(step, PauseStep):
-                memory.pause(step.duration_ns)
-                plans.append(step)
-                continue
-            element = step.element
-            ops = tuple(
-                OpPlan(
-                    op=op,
-                    operation=op.notation(),
-                    write_word=None if op.is_read else op.word_for(step.background, bits),
-                    expected_plain=op.word_for(step.background, bits) if op.is_read else None,
-                    expected_wrapped=op.word_for(step.background, bits) if op.is_read else None,
-                    tick_cost=1,
-                )
-                for op in element.operations
-            )
-            plan = ElementPlan(
-                step_index=step_index,
-                step_label=step.label or element.notation(),
-                record_background=step.background,
-                deliver_ticks=0,
-                ascending=element.order is not AddressOrder.DOWN,
-                sweep_length=words,
-                ops=ops,
-            )
-            plans.append(plan)
-            run_element(memory, state, clean_mask, dirty_mask, plan, lanes, hits)
-
-        sync_clean_rows(memory, state, clean_mask)
-        result.failures = hits.logs([memory.name], bits, plans)[0].records()
+        (log,) = run_stack([memory], plans, memory.words)
+        result.failures = log.records()
         result.cycles = memory.timebase.cycles - start_cycles
         result.elapsed_ns = memory.now_ns - start_ns
         return result
+
+
+def _element_plan(step_index: int, step, memory: SRAM) -> ElementPlan:
+    """One raw march step resolved against ``memory``: one clock per op."""
+    element = step.element
+    ops = []
+    for op in element.operations:
+        word = op.word_for(step.background, memory.bits)
+        ops.append(
+            OpPlan(
+                op=op,
+                operation=op.notation(),
+                write_word=None if op.is_read else word,
+                expected_plain=word if op.is_read else None,
+                expected_wrapped=word if op.is_read else None,
+                tick_cost=1,
+            )
+        )
+    return ElementPlan(
+        step_index=step_index,
+        step_label=step.label or element.notation(),
+        record_background=step.background,
+        deliver_ticks=0,
+        ascending=element.order is not AddressOrder.DOWN,
+        sweep_length=memory.words,
+        ops=tuple(ops),
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -248,4 +238,3 @@ def resolve_backend(backend: str | MarchBackend | None) -> MarchBackend:
 
 register_backend("reference", ReferenceBackend)
 register_backend("numpy", NumpyBackend)
-register_backend("fast", NumpyBackend)

@@ -1,45 +1,39 @@
-"""Fleet-batched march execution: whole geometry buckets per vector op.
+"""Session planning for the vector backends: geometry stacks, fault tables.
 
-The numpy backend vectorizes *within* one SRAM; a fleet session over
-hundreds of distributed small memories still pays the full Python
-per-memory cost (plan construction, per-block array dispatch) once per
-instance per element.  This tier removes that multiplier:
+Both vector backends run a diagnosis session through
+:func:`run_batched_session`, which hands stacks of memories to the
+engine's one element executor (:func:`repro.engine.kernel.run_stack`);
+they differ only in what the planner hands it:
 
-* the **geometry-bucketing planner** (:func:`geometry_buckets`,
-  :func:`plan_session_buckets`) groups the vector-capable memories of a
-  bank by ``(words, bits)``;
-* each bucket is packed into one stacked ``(n_mem, words, lanes)`` uint64
-  array (:func:`repro.engine.packing.pack_bank`) and every march element
-  is applied to the whole stack as single fleet-wide ops -- one write
-  assignment and one compare per operation per wrap-around block,
-  regardless of how many SRAMs share the geometry;
-* element plans are built once per bucket instead of once per memory
-  (plans are pure functions of the widths, see
-  :func:`repro.engine.session.session_step_plans`) and cached across
-  campaigns sharing a (march, geometry) pair;
-* *analytically evaluable* cell faults -- the deterministic kinds
-  (stuck-at, transition, read/write-disturb, NWRC-weak, inter-word
+* ``batched`` -- the **geometry-bucketing planner**
+  (:func:`geometry_buckets`, :func:`plan_session_buckets`) groups the
+  vector-capable memories of a bank by ``(words, bits)``.  Each bucket
+  is packed into one stacked ``(n_mem, words, lanes)`` uint64 array and
+  every march element is applied to the whole stack as single
+  fleet-wide ops -- one write assignment and one compare per operation
+  per wrap-around block, regardless of how many SRAMs share the
+  geometry.  *Analytically evaluable* cell faults -- the deterministic
+  kinds (stuck-at, transition, read/write-disturb, NWRC-weak, inter-word
   coupling) plus the stateful-but-closed-form ones (counter-based
   intermittent/soft-error upsets, retention decay with its analytic
   visit clock) -- are lowered into a compiled fault table
   (:mod:`repro.engine.fault_table`) and evaluated fleet-wide as masked
-  vector ops inside the same block decomposition -- the dense-defect fast
-  path;
-* the remaining fault-hooked words keep the behavioural replay of
-  :func:`repro.engine.kernel.replay_dirty_rows` -- exact sweep order and
-  clocking per memory -- so the mechanisms with genuinely sequential
-  state (intra-word coupling, legacy-stream intermittent faults behind
-  the ``legacy_stream`` compat flag) observe reference-identical times.
-  Session wrap-around is handled by the same block decomposition as the
-  single-memory kernel.
+  vector ops inside the same block decomposition; the remaining
+  fault-hooked words (intra-word coupling, shared-cell chains) keep the
+  behavioural replay lane, exact sweep order and clocking per memory.
+* ``numpy`` -- one-deep stacks, one per vector-capable memory, with
+  every fault-hooked row on behavioural replay: no lowering, no table.
 
-The result is bit-exact against the reference and numpy paths (validated
-by the differential fuzz matrix) while the Python overhead amortizes over
-the bucket population.  ``BatchedBackend`` subclasses the numpy backend,
-so raw single-memory march runs and the baseline's iterate-repair sparse
-serial replay (:mod:`repro.engine.baseline_session`) run unchanged
-through it; the batched win applies to full diagnosis sessions, where
-:func:`repro.engine.session.run_session` dispatches here.
+Element plans are built once per stack (plans are pure functions of the
+widths, see :func:`repro.engine.session.session_step_plans`) and cached
+across campaigns sharing a (march, geometry) pair.  Memories the vector
+path cannot represent (access tracing, decoder or column-mux faults)
+take the per-memory pure-Python path.  Either plan is bit-exact against
+the reference (validated by the differential fuzz matrix) while the
+batched plan amortizes the Python overhead over the bucket population.
+``BatchedBackend`` subclasses the numpy backend, so raw single-memory
+march runs and the baseline's iterate-repair sparse serial replay
+(:mod:`repro.engine.baseline_session`) run unchanged through it.
 """
 
 from __future__ import annotations
@@ -47,19 +41,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.failure_log import FailureLog
 from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.backends import NumpyBackend, register_backend, vector_capable
 from repro.engine.fault_table import TableEvaluator, lower_bucket
-from repro.engine.kernel import (
-    CleanWordTracker,
-    ElementPlan,
-    SessionHits,
-    replay_dirty_positions,
-    sync_clean_rows,
-)
-from repro.engine.packing import np, pack_bank, word_to_lanes
+from repro.engine.kernel import run_stack
 from repro.engine.session import (
     _run_memory_session,
     begin_session,
@@ -67,8 +53,6 @@ from repro.engine.session import (
     finish_session,
     session_step_plans,
 )
-from repro.march.algorithm import PauseStep
-from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
 
 
@@ -77,7 +61,8 @@ class BatchedBackend(NumpyBackend):
 
     For raw single-memory march runs this is exactly the numpy backend;
     selecting it for a session (``run_session`` / campaigns / fleets)
-    activates the stacked execution of :func:`run_batched_session`.
+    switches :func:`run_batched_session` to geometry stacks plus the
+    compiled fault table.
     """
 
     name = "batched"
@@ -108,13 +93,17 @@ def geometry_buckets(geometries) -> dict[tuple[int, int], list[int]]:
     return buckets
 
 
-def plan_session_buckets(bank) -> tuple[list[GeometryBucket], list[int]]:
-    """Split a bank into batched geometry buckets and fallback positions.
+def plan_session_buckets(
+    bank, stacked: bool = True
+) -> tuple[list[GeometryBucket], list[int]]:
+    """Split a bank into vector buckets and fallback positions.
 
     Memories the vector path cannot represent (access tracing, decoder or
     column-mux faults) fall back to the per-memory session path; everyone
     else joins the bucket of its geometry, single-memory buckets included
     (a stack of one is still the vector path, just without amortization).
+    ``stacked=False`` -- the numpy backend's plan -- gives every capable
+    memory a bucket of its own instead.
     """
     capable: list[int] = []
     fallback: list[int] = []
@@ -123,6 +112,11 @@ def plan_session_buckets(bank) -> tuple[list[GeometryBucket], list[int]]:
             capable.append(index)
         else:
             fallback.append(index)
+    if not stacked:
+        return [
+            GeometryBucket(bank[index].words, bank[index].bits, (index,))
+            for index in capable
+        ], fallback
     grouped = geometry_buckets([bank[index] for index in capable])
     buckets = [
         GeometryBucket(words, bits, tuple(capable[i] for i in members))
@@ -147,22 +141,36 @@ def batched_backend_pays_off(geometries) -> bool:
 # --------------------------------------------------------------------- #
 # Stacked session execution                                             #
 # --------------------------------------------------------------------- #
-def run_batched_session(scheme: FastDiagnosisScheme) -> ProposedReport:
-    """Run one diagnosis session with geometry-bucketed stacked sweeps.
+def run_batched_session(
+    scheme: FastDiagnosisScheme, batched: bool = True
+) -> ProposedReport:
+    """Run one diagnosis session through the vector stack runner.
 
-    Produces the same :class:`~repro.core.report.ProposedReport` as the
-    reference and per-memory numpy paths, bit for bit (failure logs whose
-    records come out in identical order, cycle and time accounting
-    included).
+    ``batched=True`` sweeps geometry buckets with the compiled fault
+    table; ``batched=False`` is the numpy backend's plan (one-deep
+    stacks, every fault-hooked row replayed).  Either way the
+    :class:`~repro.core.report.ProposedReport` equals the reference's,
+    bit for bit (failure logs whose records come out in identical order,
+    cycle and time accounting included).
     """
     algorithm, report, deliveries, nwrc_ops = begin_session(scheme)
     reads_per_word = algorithm.reads_per_word()
-    buckets, fallback = plan_session_buckets(scheme.bank)
+    buckets, fallback = plan_session_buckets(scheme.bank, stacked=batched)
     for bucket in buckets:
         memories = [scheme.bank[index] for index in bucket.indices]
-        for memory, failures in zip(
-            memories, _run_bucket_session(scheme, memories, algorithm)
-        ):
+        # Batched rows split three ways -- ideal rows take the block-op
+        # path, rows whose faults all lower the compiled-table path, the
+        # rest the behavioural replay lane; numpy replays every
+        # fault-hooked row.
+        logs = run_stack(
+            memories,
+            session_step_plans(scheme, memories[0], algorithm),
+            scheme.controller_words,
+            scheme.ecc_observers,
+            lower_bucket(memories) if batched else None,
+            _table_evaluator,
+        )
+        for memory, failures in zip(memories, logs):
             report.failures[memory.name] = failures
     for index in fallback:
         memory = scheme.bank[index]
@@ -174,43 +182,6 @@ def run_batched_session(scheme: FastDiagnosisScheme) -> ProposedReport:
             scheme, memory, report.failures[memory.name], reads_per_word
         )
     return finish_session(scheme, report, deliveries, nwrc_ops)
-
-
-class BucketSweep:
-    """Per-bucket sweep geometry, resolved once for a whole session.
-
-    Every element of a session sweeps the same controller address span,
-    so the position/local-row maps (one per direction) and each memory's
-    dirty sweep positions (dirty masks are static within a session) are
-    computed here exactly once instead of once per element per memory.
-    """
-
-    def __init__(self, words: int, sweep: int, dirty_masks) -> None:
-        self.words = words
-        self.sweep = sweep
-        positions = np.arange(sweep)
-        self.positions = positions
-        descending = (sweep - 1) - positions
-        self.local_rows = {
-            True: positions % words if sweep != words else positions,
-            False: descending % words if sweep != words else descending,
-        }
-        self.dirty_positions = {
-            ascending: [
-                positions[dirty_masks[member][rows]].tolist()
-                for member in range(dirty_masks.shape[0])
-            ]
-            for ascending, rows in self.local_rows.items()
-        }
-        # Row -> in-block offset for *full* blocks.  Full blocks all start
-        # at a multiple of ``words``, so the offset of a row inside the
-        # block is direction-dependent but block-independent: a row's
-        # sweep position is ``block_start + offset``.
-        rows = np.arange(words)
-        self.full_block_offsets = {
-            True: rows,
-            False: (sweep - 1 - rows) % words,
-        }
 
 
 class _TimedEvaluator:
@@ -271,282 +242,11 @@ class _TimedEvaluator:
         self._counters.add("lane.table.ns", time.perf_counter_ns() - started)
 
 
-def _run_bucket_session(
-    scheme: FastDiagnosisScheme, memories: list[SRAM], algorithm
-) -> list[FailureLog]:
-    """Run every element of the session over one stacked geometry bucket."""
-    plans = session_step_plans(scheme, memories[0], algorithm)
-    states, _, _, lanes = pack_bank(memories)
-    # Three-way row partition: ideal rows take the block-op path, rows
-    # whose faults all lower take the compiled-table path, and the rest
-    # keep the behavioural replay lane.
-    lanes_split = lower_bucket(memories)
-    sweep = BucketSweep(
-        memories[0].words, scheme.controller_words, lanes_split.replay_masks
-    )
-    evaluator = (
-        TableEvaluator(lanes_split.table, sweep, states)
-        if lanes_split.table is not None
-        else None
-    )
+def _table_evaluator(table, sweep, states):
+    """The bucket's table evaluator, timed into its lane under telemetry."""
+    evaluator = TableEvaluator(table, sweep, states)
     tr = _tracer()
-    if tr.enabled:
-        counters = tr.counters
-        counters.add("bucket.sessions")
-        counters.add("bucket.memories", len(memories))
-        counters.add("bucket.replay_rows", int(lanes_split.replay_masks.sum()))
-        counters.add("bucket.table_rows", int(lanes_split.table_masks.sum()))
-        counters.add("bucket.clean_rows", int(lanes_split.clean_masks.sum()))
-        if evaluator is not None:
-            evaluator = _TimedEvaluator(evaluator, counters)
-    hits = SessionHits(lanes, scheme.ecc_observers)
-    tracker = CleanWordTracker()
-    for plan in plans:
-        if isinstance(plan, PauseStep):
-            for memory in memories:
-                memory.pause(plan.duration_ns)
-            continue
-        element_args = (
-            memories,
-            states,
-            lanes_split.clean_masks,
-            plan,
-            lanes,
-            sweep,
-            hits,
-            evaluator,
-            tracker,
-        )
-        if tr.enabled:
-            with tr.span(
-                "march.element",
-                "march",
-                step=plan.step_label,
-                memories=len(memories),
-            ):
-                run_element_batched(*element_args)
-        else:
-            run_element_batched(*element_args)
-    if lanes_split.table is not None:
-        # Multi-session flows (test -> repair -> retest) reuse fault
-        # objects: hand the advanced draw counters / decay clocks back so
-        # the next session resumes the decision sequences exactly.
-        lanes_split.table.sync_fault_state()
-    vector_masks = lanes_split.vector_masks
-    for member, memory in enumerate(memories):
-        sync_clean_rows(memory, states[member], vector_masks[member])
-    return hits.logs(
-        [memory.name for memory in memories], memories[0].bits, plans
-    )
-
-
-def run_element_batched(
-    memories: list[SRAM],
-    states,
-    clean_masks,
-    plan: ElementPlan,
-    lanes: int,
-    sweep_plan: BucketSweep,
-    hits: SessionHits,
-    evaluator: "TableEvaluator | None" = None,
-    tracker: CleanWordTracker | None = None,
-) -> None:
-    """Execute one element over a same-geometry stack of memories.
-
-    ``states`` is the packed ``(n_mem, words, lanes)`` array --
-    authoritative for clean and fault-table rows (behavioural-replay rows
-    live in the memory objects).  ``evaluator`` is the bucket's compiled
-    fault table (:mod:`repro.engine.fault_table`), evaluated inside the
-    same block decomposition as the clean rows; ``tracker`` (one per
-    bucket session) skips clean compares that provably cannot mismatch.
-    Every raw mismatch lands in ``hits`` under its bucket member --
-    exactly what :func:`repro.engine.kernel.run_element` would add memory
-    by memory; any on-die ECC decode runs once per session, in
-    :meth:`~repro.engine.kernel.SessionHits.logs`.
-    """
-    words = sweep_plan.words
-    sweep = sweep_plan.sweep
-    ops = plan.ops
-    per_address = plan.per_address_ticks
-    step = plan.step_index
-
-    positions = sweep_plan.positions
-    local_rows = sweep_plan.local_rows[plan.ascending]
-    dirty_positions = sweep_plan.dirty_positions[plan.ascending]
-
-    # Retention entries need each member's element-start wall clock and
-    # cycle period, captured *before* the replay loop below advances the
-    # time bases to end-of-element.  The expression mirrors the replay
-    # lane's ``tick(deliver_ticks)`` float arithmetic exactly.
-    base_now = periods = None
-    if evaluator is not None and evaluator.needs_timing:
-        base_now = np.array(
-            [
-                memory.timebase.now_ns
-                + plan.deliver_ticks * memory.timebase.period_ns
-                for memory in memories
-            ],
-            dtype=np.float64,
-        )
-        periods = np.array(
-            [memory.timebase.period_ns for memory in memories], dtype=np.float64
-        )
-
-    tr = _tracer()
-    telem = tr.enabled
-    if telem:
-        counters = tr.counters
-        clean_total = int(clean_masks.sum())
-        replay_started = time.perf_counter_ns()
-
-    # Replay rows: per-memory behavioural replay in exact sweep order and
-    # time; every other row's share of each schedule is pure clocking.
-    for member, memory in enumerate(memories):
-        timebase = memory.timebase
-        if plan.deliver_ticks:
-            timebase.tick(plan.deliver_ticks)
-        base_cycles = timebase.cycles
-        if dirty_positions[member]:
-            hits.add_scalar(
-                member,
-                step,
-                replay_dirty_positions(
-                    memory,
-                    plan,
-                    dirty_positions[member],
-                    base_cycles,
-                    per_address,
-                ),
-            )
-        timebase.tick(base_cycles + sweep * per_address - timebase.cycles)
-
-    if telem:
-        vector_started = time.perf_counter_ns()
-        replay_words = sum(len(member) for member in dirty_positions)
-        counters.add("lane.replay.ns", vector_started - replay_started)
-        counters.add("lane.replay.words", replay_words)
-        table_ns_before = counters.get("lane.table.ns")
-        table_words_before = counters.get("lane.table.words")
-
-    # Clean and table rows: fleet-wide vector ops, block-wise so
-    # wrap-around revisits never touch a row twice inside one
-    # assignment/compare.
-    write_lanes_per_op = [
-        None if op_plan.op.is_read else word_to_lanes(op_plan.write_word, lanes)
-        for op_plan in ops
-    ]
-    if evaluator is not None:
-        evaluator.start_element(plan, write_lanes_per_op, base_now, periods)
-    if clean_masks.any() or evaluator is not None:
-        for block_start in range(0, sweep, words):
-            block_end = min(block_start + words, sweep)
-            wrapped = block_start >= words
-            full = block_end - block_start == words
-            block_rows = local_rows[block_start:block_end]
-            block_positions = positions[block_start:block_end]
-            # A full block visits every row exactly once, so the whole
-            # slab can be addressed in natural row order; rows map back
-            # to sweep positions through the precomputed offsets only
-            # for mismatching rows.
-            offsets = sweep_plan.full_block_offsets[plan.ascending]
-            ctx = (
-                evaluator.start_block(plan, block_start, block_end - block_start)
-                if evaluator is not None
-                else None
-            )
-            if telem:
-                block_clean = (
-                    clean_total if full else int(clean_masks[:, block_rows].sum())
-                )
-            for op_index, op_plan in enumerate(ops):
-                if op_plan.op.is_read:
-                    expected = (
-                        op_plan.expected_wrapped if wrapped else op_plan.expected_plain
-                    )
-                    expected_lanes = None
-                    if tracker is None or tracker.value != expected:
-                        expected_lanes = word_to_lanes(expected, lanes)
-                        if full:
-                            mismatch = (states != expected_lanes).any(axis=2)
-                            mismatch &= clean_masks
-                        else:
-                            mismatch = (states[:, block_rows] != expected_lanes).any(
-                                axis=2
-                            )
-                            mismatch &= clean_masks[:, block_rows]
-                        if telem:
-                            counters.add("clean.compares_done", block_clean)
-                    else:
-                        mismatch = None
-                        if telem:
-                            counters.add("clean.compares_skipped", block_clean)
-                    if mismatch is not None and mismatch.any():
-                        member_hits, row_hits = np.nonzero(mismatch)
-                        if full:
-                            hit_positions = block_start + offsets[row_hits]
-                        else:
-                            hit_positions = block_positions[row_hits]
-                            row_hits = block_rows[row_hits]
-                        hits.add(
-                            member_hits,
-                            step,
-                            op_index,
-                            hit_positions,
-                            row_hits,
-                            expected_lanes,
-                            states[member_hits, row_hits],
-                        )
-                    if ctx is not None:
-                        if expected_lanes is None:
-                            expected_lanes = word_to_lanes(expected, lanes)
-                        table_hits = evaluator.read_op(ctx, expected_lanes, op_index)
-                        if table_hits is not None:
-                            members, table_rows, table_positions, observed = table_hits
-                            hits.add(
-                                members,
-                                step,
-                                op_index,
-                                table_positions,
-                                table_rows,
-                                expected_lanes,
-                                observed,
-                            )
-                else:
-                    # Replay rows are never read from the packed state and
-                    # never synced back, so writing the whole block (or
-                    # slab) is safe and avoids a mask gather per memory;
-                    # table rows are re-published right after with their
-                    # fault-corrected values.
-                    write_lanes = write_lanes_per_op[op_index]
-                    corrected = (
-                        evaluator.prepare_write(
-                            ctx, write_lanes, op_plan.op.is_nwrc, op_index
-                        )
-                        if ctx is not None
-                        else None
-                    )
-                    if full:
-                        states[:] = write_lanes
-                    else:
-                        states[:, block_rows] = write_lanes
-                    if tracker is not None:
-                        tracker.value = op_plan.write_word
-                    if ctx is not None:
-                        evaluator.commit_write(ctx, corrected)
-            if ctx is not None:
-                evaluator.end_block(ctx)
-
-    if telem:
-        # The vector section's time minus the evaluator's accumulated
-        # share is the clean lane's; the word balance mirrors it.
-        vector_ns = time.perf_counter_ns() - vector_started
-        table_ns = counters.get("lane.table.ns") - table_ns_before
-        table_words = counters.get("lane.table.words") - table_words_before
-        counters.add("lane.clean.ns", max(0, vector_ns - table_ns))
-        counters.add(
-            "lane.clean.words",
-            sweep * len(memories) - replay_words - table_words,
-        )
+    return _TimedEvaluator(evaluator, tr.counters) if tr.enabled else evaluator
 
 
 register_backend("batched", BatchedBackend)

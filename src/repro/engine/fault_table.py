@@ -32,10 +32,9 @@ lowering protocol (:meth:`repro.faults.base.Fault.vector_lowerable` /
   visit clock offsets (:attr:`~repro.engine.kernel.ElementPlan.access_ticks`)
   and the time base's cycle model; the final draw counters / decay
   clocks are published back to the fault objects after the session.
-* **Non-lowerable faults** (legacy sequential-stream intermittent faults
-  behind the ``legacy_stream`` compat flag, intra-word coupling with its
-  intra-visit transition interleaving) keep the exact behavioural replay
-  lane.
+* **Non-lowerable faults** (intra-word coupling with its intra-visit
+  transition interleaving, and any cell shared by two faults) keep the
+  exact behavioural replay lane.
 
 Lane cohesion makes the split sound: coupling links its victim and
 aggressor words, so a word with any behavioural hook *taints* every word

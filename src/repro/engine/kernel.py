@@ -1,64 +1,63 @@
-"""Bit-parallel march-element executor shared by the engine's fast paths.
+"""The engine's one vector march-element executor.
 
-Both the raw march backend (:mod:`repro.engine.backends`) and the fast
-proposed-scheme session (:mod:`repro.engine.session`) execute the same
-inner structure: one march element swept over a memory, with per-operation
-write data, expected read data (possibly different after the element's
-address sweep wraps around a smaller memory) and a per-operation clock
-cost.  This module runs that structure *bit-exactly* but vectorized:
+Raw ``NumpyBackend.run`` march runs, numpy diagnosis sessions and
+batched diagnosis sessions all execute march elements through one stack
+runner, :func:`run_stack`: a same-geometry stack of memories is packed
+into one ``(n_mem, words, lanes)`` uint64 array
+(:func:`repro.engine.packing.pack_bank`), its sweep geometry is resolved
+once (:class:`BucketSweep`), every element runs through
+:func:`run_element_batched` with one :class:`CleanWordTracker`, the
+packed rows are written back (:func:`sync_clean_rows`) and the raw
+mismatches come out of one :class:`SessionHits` as per-memory failure
+logs.  The backends differ only in what they hand the runner: the numpy
+backend one-deep stacks with every fault-hooked row on behavioural
+replay, the batched tier (:mod:`repro.engine.batched`) same-geometry
+stacks plus a compiled fault table (:mod:`repro.engine.fault_table`).
+Each row of a stack takes one of three lanes:
 
-* **Clean words** -- words whose accesses can trigger no fault hook
+* **Clean rows** -- no fault hook can fire there
   (:meth:`repro.memory.SRAM.hooked_words`) -- behave ideally, so a whole
-  element is applied to all of them at once: writes are whole-array lane
-  assignments, reads are whole-array lane compares.  The sweep is split
-  into *blocks* of at most ``memory.words`` consecutive positions so that
-  no word is touched twice inside one vector op (wrap-around revisits land
-  in later blocks, which also fixes the wrapped-expectation flag per
-  block).
-* **Dirty words** are replayed through the behavioural access path
-  (``memory.read`` / ``memory.write`` / ``memory.nwrc_write``) in exact
-  sweep order, with the shared time base fast-forwarded to the cycle the
-  reference implementation would show at each visit -- so stateful faults
+  element is applied to all of them at once: writes are whole-slab lane
+  assignments, reads are whole-slab compares (skipped when the tracker
+  proves they cannot mismatch).  The sweep is split into *blocks* of at
+  most ``words`` consecutive positions so that no row is touched twice
+  inside one vector op (wrap-around revisits land in later blocks, which
+  also fixes the wrapped-expectation flag per block).
+* **Table rows** -- rows whose faults all lower -- are evaluated by the
+  compiled fault table as masked vector ops inside the same blocks.
+* **Replay rows** go through the behavioural access path
+  (:meth:`~repro.memory.SRAM.replay_read` /
+  :meth:`~repro.memory.SRAM.replay_write`) in exact sweep order, with
+  each memory's time base fast-forwarded to the cycle the reference
+  implementation would show at each visit -- so stateful faults
   (retention decay, coupling, read-destructive) observe identical times
   and orderings.
 
-Raw mismatches from both populations land in one :class:`SessionHits`
-accumulator per session.  At the end of the session it runs the on-die
-SEC-DED decoder over all of them at once (when ECC is configured), sorts
-the survivors into the reference's address-major order and hands each
+At the end of the run :class:`SessionHits` runs the on-die SEC-DED
+decoder over all mismatches at once (when ECC is configured), sorts the
+survivors into the reference's address-major order and hands each
 memory a columnar :class:`~repro.core.failure_log.FailureLog` -- result
 equality is exact down to record order, without building a record per
-failing read.
+failing read.  Memories the vector lanes cannot represent run
+:func:`run_element_slow` instead.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.failure_log import FailureLog, unpack_columns
 from repro.ecc.vector import apply_corrections, decode_session
-from repro.engine.packing import lanes_for, np, pack_state, word_to_lanes
+from repro.engine.packing import np, pack_bank, pack_state, word_to_lanes
+from repro.march.algorithm import PauseStep
 from repro.march.ops import Operation
 from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
 
-
-def pack_memory(memory: SRAM):
-    """Pack a memory for vector execution.
-
-    Returns ``(state, clean_mask, dirty_mask, lanes)``: the ``(words,
-    lanes)`` uint64 state array, the complementary clean/dirty row masks
-    (dirty = any fault hook can fire there) and the lane count.  The state
-    array is authoritative for clean rows only; hand it back through
-    :func:`sync_clean_rows` when the run finishes.
-    """
-    lanes = lanes_for(memory.bits)
-    state = pack_state(memory.dump(), lanes)
-    dirty_mask = np.zeros(memory.words, dtype=bool)
-    for word in memory.hooked_words():
-        dirty_mask[word] = True
-    return state, ~dirty_mask, dirty_mask, lanes
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.fault_table import TableEvaluator
 
 
 def sync_clean_rows(memory: SRAM, state, clean_mask) -> None:
@@ -206,14 +205,14 @@ class CleanWordTracker:
     Clean rows have no fault hooks, so after any write operation they all
     hold exactly the written word -- the ideal machine's trajectory.  A
     read whose expectation equals that tracked word cannot mismatch on
-    any clean row, so the fleet-batched tier skips the whole stacked-slab
-    compare for it; that is every read of a consistent march under
-    matching backgrounds.  ``None`` (pre-first-write, arbitrary packed
+    any clean row, so :func:`run_element_batched` skips the whole
+    stacked-slab compare for it; that is every read of a consistent march
+    under matching backgrounds.  ``None`` (pre-first-write, arbitrary packed
     contents) or a mismatching expectation (e.g. the Sec. 3.2 LSB-first
     coverage-loss scenario) falls back to the exact compare, so results
-    never change.  One tracker spans a whole bucket session: blocks
-    process sequentially over the same physical rows, so the tracked
-    value carries across blocks and elements.
+    never change.  One tracker spans a whole :func:`run_stack` call:
+    blocks process sequentially over the same physical rows, so the
+    tracked value carries across blocks and elements.
     """
 
     value: int | None = None
@@ -287,29 +286,41 @@ class ElementPlan:
         object.__setattr__(self, "access_ticks", tuple(access_ticks))
 
 
-def replay_dirty_rows(
-    memory: SRAM,
-    dirty_mask,
-    plan: ElementPlan,
-    positions,
-    local_rows,
-    base_cycles: int,
-    per_address: int,
-) -> list[tuple[int, int, int, int, int]]:
-    """Behavioural replay of fault-hooked rows in exact sweep order.
+class BucketSweep:
+    """Per-stack sweep geometry, resolved once for a whole run.
 
-    The shared time base is fast-forwarded to the cycle the reference
-    implementation would show at each visit, so stateful faults observe
-    identical times and orderings.  Returns ``(position, op_index,
-    address, expected, observed)`` hits for :meth:`SessionHits.add_scalar`.
+    Every element of a run sweeps the same address span, so the
+    position/local-row maps (one per direction) and each memory's replay
+    sweep positions (the replay masks are static within a run) are
+    computed here exactly once instead of once per element per memory.
     """
-    return replay_dirty_positions(
-        memory,
-        plan,
-        positions[dirty_mask[local_rows]].tolist(),
-        base_cycles,
-        per_address,
-    )
+
+    def __init__(self, words: int, sweep: int, replay_masks) -> None:
+        self.words = words
+        self.sweep = sweep
+        positions = np.arange(sweep)
+        self.positions = positions
+        descending = (sweep - 1) - positions
+        self.local_rows = {
+            True: positions % words if sweep != words else positions,
+            False: descending % words if sweep != words else descending,
+        }
+        self.dirty_positions = {
+            ascending: [
+                positions[replay_masks[member][rows]].tolist()
+                for member in range(replay_masks.shape[0])
+            ]
+            for ascending, rows in self.local_rows.items()
+        }
+        # Row -> in-block offset for *full* blocks.  Full blocks all start
+        # at a multiple of ``words``, so the offset of a row inside the
+        # block is direction-dependent but block-independent: a row's
+        # sweep position is ``block_start + offset``.
+        rows = np.arange(words)
+        self.full_block_offsets = {
+            True: rows,
+            False: (sweep - 1 - rows) % words,
+        }
 
 
 def replay_dirty_positions(
@@ -319,12 +330,15 @@ def replay_dirty_positions(
     base_cycles: int,
     per_address: int,
 ) -> list[tuple[int, int, int, int, int]]:
-    """:func:`replay_dirty_rows` with the sweep positions pre-resolved.
+    """Behavioural replay of one memory's replay rows in exact sweep order.
 
-    The batched tier precomputes each memory's dirty positions once per
-    session (they depend only on the static dirty mask and the sweep
-    direction) instead of re-masking the whole sweep per element; local
-    rows fall out of the position arithmetically.
+    ``dirty_positions`` are the sweep positions visiting replay rows
+    (:attr:`BucketSweep.dirty_positions`); local rows fall out of the
+    position arithmetically.  The memory's time base is fast-forwarded to
+    the cycle the reference implementation would show at each visit, so
+    stateful faults observe identical times and orderings.  Returns
+    ``(position, op_index, address, expected, observed)`` hits for
+    :meth:`SessionHits.add_scalar`.
 
     Accesses go through the memory's ideal-periphery replay lane
     (:meth:`repro.memory.sram.SRAM.replay_read` /
@@ -373,100 +387,283 @@ def replay_dirty_positions(
     return hits
 
 
-def run_element(
-    memory: SRAM,
-    state,
-    clean_mask,
-    dirty_mask,
+def run_element_batched(
+    memories: list[SRAM],
+    states,
+    clean_masks,
     plan: ElementPlan,
     lanes: int,
+    sweep_plan: BucketSweep,
     hits: SessionHits,
+    tracker: CleanWordTracker,
+    evaluator: "TableEvaluator | None" = None,
 ) -> None:
-    """Execute one element, adding its raw mismatches to ``hits`` (member 0).
+    """Execute one element over a same-geometry stack of memories.
 
-    ``state`` is the packed ``(words, lanes)`` array -- authoritative for
-    clean rows only (dirty rows live in the memory's behavioural state).
-    Any on-die ECC decode happens once per session, in
-    :meth:`SessionHits.logs`.
+    ``states`` is the packed ``(n_mem, words, lanes)`` array --
+    authoritative for clean and fault-table rows (behavioural-replay rows
+    live in the memory objects).  ``evaluator`` is the stack's compiled
+    fault table (:mod:`repro.engine.fault_table`), evaluated inside the
+    same block decomposition as the clean rows; ``tracker`` (one per
+    run) skips clean compares that provably cannot mismatch.  Every raw
+    mismatch lands in ``hits`` under its stack member; any on-die ECC
+    decode runs once per run, in :meth:`SessionHits.logs`.
     """
-    words = memory.words
-    sweep = plan.sweep_length
+    words = sweep_plan.words
+    sweep = sweep_plan.sweep
     ops = plan.ops
-    per_address = sum(op.tick_cost for op in ops)
-    timebase = memory.timebase
-    if plan.deliver_ticks:
-        timebase.tick(plan.deliver_ticks)
-    base_cycles = timebase.cycles
+    per_address = plan.per_address_ticks
     step = plan.step_index
 
-    positions = np.arange(sweep)
-    addresses = positions if plan.ascending else (sweep - 1) - positions
-    local_rows = addresses % words if sweep != words else addresses
+    positions = sweep_plan.positions
+    local_rows = sweep_plan.local_rows[plan.ascending]
+    dirty_positions = sweep_plan.dirty_positions[plan.ascending]
+
+    # Retention entries need each member's element-start wall clock and
+    # cycle period, captured *before* the replay loop below advances the
+    # time bases to end-of-element.  The expression mirrors the replay
+    # lane's ``tick(deliver_ticks)`` float arithmetic exactly.
+    base_now = periods = None
+    if evaluator is not None and evaluator.needs_timing:
+        base_now = np.array(
+            [
+                memory.timebase.now_ns
+                + plan.deliver_ticks * memory.timebase.period_ns
+                for memory in memories
+            ],
+            dtype=np.float64,
+        )
+        periods = np.array(
+            [memory.timebase.period_ns for memory in memories], dtype=np.float64
+        )
 
     tr = _tracer()
     telem = tr.enabled
     if telem:
+        counters = tr.counters
+        clean_total = int(clean_masks.sum())
         replay_started = time.perf_counter_ns()
 
-    # Dirty rows: behavioural replay in exact sweep order and time.
-    replay_words = 0
-    if dirty_mask.any():
-        if telem:
-            replay_words = int(dirty_mask[local_rows].sum())
-        hits.add_scalar(
-            0,
-            step,
-            replay_dirty_rows(
-                memory, dirty_mask, plan, positions, local_rows, base_cycles,
-                per_address,
-            ),
-        )
-
-    # The clean rows' share of the schedule is pure clocking.
-    timebase.tick(base_cycles + sweep * per_address - timebase.cycles)
+    # Replay rows: per-memory behavioural replay in exact sweep order and
+    # time; every other row's share of each schedule is pure clocking.
+    for member, memory in enumerate(memories):
+        timebase = memory.timebase
+        if plan.deliver_ticks:
+            timebase.tick(plan.deliver_ticks)
+        base_cycles = timebase.cycles
+        if dirty_positions[member]:
+            hits.add_scalar(
+                member,
+                step,
+                replay_dirty_positions(
+                    memory,
+                    plan,
+                    dirty_positions[member],
+                    base_cycles,
+                    per_address,
+                ),
+            )
+        timebase.tick(base_cycles + sweep * per_address - timebase.cycles)
 
     if telem:
-        clean_started = time.perf_counter_ns()
-        counters = tr.counters
-        counters.add("lane.replay.ns", clean_started - replay_started)
+        vector_started = time.perf_counter_ns()
+        replay_words = sum(len(member) for member in dirty_positions)
+        counters.add("lane.replay.ns", vector_started - replay_started)
         counters.add("lane.replay.words", replay_words)
-        counters.add("lane.clean.words", sweep - replay_words)
+        table_ns_before = counters.get("lane.table.ns")
+        table_words_before = counters.get("lane.table.words")
 
-    # Clean rows: block-wise vector ops (a block never revisits a row).
-    if clean_mask.any():
+    # Clean and table rows: fleet-wide vector ops, block-wise so
+    # wrap-around revisits never touch a row twice inside one
+    # assignment/compare.
+    write_lanes_per_op = [
+        None if op_plan.op.is_read else word_to_lanes(op_plan.write_word, lanes)
+        for op_plan in ops
+    ]
+    if evaluator is not None:
+        evaluator.start_element(plan, write_lanes_per_op, base_now, periods)
+    if clean_masks.any() or evaluator is not None:
         for block_start in range(0, sweep, words):
             block_end = min(block_start + words, sweep)
             wrapped = block_start >= words
+            full = block_end - block_start == words
             block_rows = local_rows[block_start:block_end]
-            visited = clean_mask[block_rows]
-            rows = block_rows[visited]
-            if rows.size == 0:
-                continue
-            block_positions = positions[block_start:block_end][visited]
+            block_positions = positions[block_start:block_end]
+            # A full block visits every row exactly once, so the whole
+            # slab can be addressed in natural row order; rows map back
+            # to sweep positions through the precomputed offsets only
+            # for mismatching rows.
+            offsets = sweep_plan.full_block_offsets[plan.ascending]
+            ctx = (
+                evaluator.start_block(plan, block_start, block_end - block_start)
+                if evaluator is not None
+                else None
+            )
+            if telem:
+                block_clean = (
+                    clean_total if full else int(clean_masks[:, block_rows].sum())
+                )
             for op_index, op_plan in enumerate(ops):
                 if op_plan.op.is_read:
                     expected = (
                         op_plan.expected_wrapped if wrapped else op_plan.expected_plain
                     )
-                    expected_lanes = word_to_lanes(expected, lanes)
-                    mismatch = (state[rows] != expected_lanes).any(axis=1)
-                    if mismatch.any():
-                        index = np.nonzero(mismatch)[0]
-                        hit_rows = rows[index]
+                    expected_lanes = None
+                    if tracker.value != expected:
+                        expected_lanes = word_to_lanes(expected, lanes)
+                        if full:
+                            mismatch = (states != expected_lanes).any(axis=2)
+                            mismatch &= clean_masks
+                        else:
+                            mismatch = (states[:, block_rows] != expected_lanes).any(
+                                axis=2
+                            )
+                            mismatch &= clean_masks[:, block_rows]
+                        if telem:
+                            counters.add("clean.compares_done", block_clean)
+                    else:
+                        mismatch = None
+                        if telem:
+                            counters.add("clean.compares_skipped", block_clean)
+                    if mismatch is not None and mismatch.any():
+                        member_hits, row_hits = np.nonzero(mismatch)
+                        if full:
+                            hit_positions = block_start + offsets[row_hits]
+                        else:
+                            hit_positions = block_positions[row_hits]
+                            row_hits = block_rows[row_hits]
                         hits.add(
-                            np.zeros(hit_rows.size, dtype=np.int64),
+                            member_hits,
                             step,
                             op_index,
-                            block_positions[index],
-                            hit_rows,
+                            hit_positions,
+                            row_hits,
                             expected_lanes,
-                            state[hit_rows],
+                            states[member_hits, row_hits],
                         )
+                    if ctx is not None:
+                        if expected_lanes is None:
+                            expected_lanes = word_to_lanes(expected, lanes)
+                        table_hits = evaluator.read_op(ctx, expected_lanes, op_index)
+                        if table_hits is not None:
+                            members, table_rows, table_positions, observed = table_hits
+                            hits.add(
+                                members,
+                                step,
+                                op_index,
+                                table_positions,
+                                table_rows,
+                                expected_lanes,
+                                observed,
+                            )
                 else:
-                    state[rows] = word_to_lanes(op_plan.write_word, lanes)
+                    # Replay rows are never read from the packed state and
+                    # never synced back, so writing the whole block (or
+                    # slab) is safe and avoids a mask gather per memory;
+                    # table rows are re-published right after with their
+                    # fault-corrected values.
+                    write_lanes = write_lanes_per_op[op_index]
+                    corrected = (
+                        evaluator.prepare_write(
+                            ctx, write_lanes, op_plan.op.is_nwrc, op_index
+                        )
+                        if ctx is not None
+                        else None
+                    )
+                    if full:
+                        states[:] = write_lanes
+                    else:
+                        states[:, block_rows] = write_lanes
+                    tracker.value = op_plan.write_word
+                    if ctx is not None:
+                        evaluator.commit_write(ctx, corrected)
+            if ctx is not None:
+                evaluator.end_block(ctx)
 
     if telem:
-        counters.add("lane.clean.ns", time.perf_counter_ns() - clean_started)
+        # The vector section's time minus the evaluator's accumulated
+        # share is the clean lane's; the word balance mirrors it.
+        vector_ns = time.perf_counter_ns() - vector_started
+        table_ns = counters.get("lane.table.ns") - table_ns_before
+        table_words = counters.get("lane.table.words") - table_words_before
+        counters.add("lane.clean.ns", max(0, vector_ns - table_ns))
+        counters.add(
+            "lane.clean.words",
+            sweep * len(memories) - replay_words - table_words,
+        )
+
+
+def run_stack(
+    memories: list[SRAM],
+    plans: list,
+    sweep_length: int,
+    observers=None,
+    split=None,
+    evaluator_for=None,
+) -> list[FailureLog]:
+    """Run ``plans`` over one same-geometry stack: the one vector path.
+
+    Packs the stack, resolves its sweep, runs every element through
+    :func:`run_element_batched` (pauses idle every member), writes the
+    packed rows back and returns one reference-ordered failure log per
+    memory, decoded through ``observers`` (memory name ->
+    :class:`~repro.ecc.observer.EccObserver`) when given.  Without
+    ``split`` every fault-hooked row takes the behavioural replay lane;
+    a :class:`~repro.engine.fault_table.BucketLanes` partition moves its
+    table rows onto the evaluator ``evaluator_for(table, sweep, states)``
+    builds, and the table's fault state is published back afterwards so
+    multi-session flows resume exactly.
+    """
+    states, clean_masks, replay_masks, lanes = pack_bank(memories)
+    vector_masks = clean_masks
+    table = None
+    if split is not None:
+        replay_masks, clean_masks = split.replay_masks, split.clean_masks
+        vector_masks, table = split.vector_masks, split.table
+    sweep = BucketSweep(memories[0].words, sweep_length, replay_masks)
+    evaluator = None if table is None else evaluator_for(table, sweep, states)
+    tr = _tracer()
+    if tr.enabled:
+        counters = tr.counters
+        clean_rows = int(clean_masks.sum())
+        counters.add("bucket.sessions")
+        counters.add("bucket.memories", len(memories))
+        counters.add("bucket.replay_rows", int(replay_masks.sum()))
+        counters.add("bucket.table_rows", int(vector_masks.sum()) - clean_rows)
+        counters.add("bucket.clean_rows", clean_rows)
+    hits = SessionHits(lanes, observers)
+    tracker = CleanWordTracker()
+    for plan in plans:
+        if isinstance(plan, PauseStep):
+            for memory in memories:
+                memory.pause(plan.duration_ns)
+            continue
+        element_args = (
+            memories,
+            states,
+            clean_masks,
+            plan,
+            lanes,
+            sweep,
+            hits,
+            tracker,
+            evaluator,
+        )
+        if tr.enabled:
+            with tr.span(
+                "march.element",
+                "march",
+                step=plan.step_label,
+                memories=len(memories),
+            ):
+                run_element_batched(*element_args)
+        else:
+            run_element_batched(*element_args)
+    if table is not None:
+        table.sync_fault_state()
+    for member, memory in enumerate(memories):
+        sync_clean_rows(memory, states[member], vector_masks[member])
+    return hits.logs([memory.name for memory in memories], memories[0].bits, plans)
 
 
 def run_element_slow(

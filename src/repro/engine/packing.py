@@ -1,10 +1,10 @@
-"""Bit-lane packing for the vectorized march backend.
+"""Bit-lane packing for the vectorized march backends.
 
 The behavioural :class:`repro.memory.SRAM` stores each word as one Python
-integer of arbitrary width.  The numpy backend re-packs that state into a
-``(words, lanes)`` array of ``uint64`` lanes (lane ``i`` holds word bits
-``64 * i`` .. ``64 * i + 63``), so march writes become whole-array
-assignments and march reads become whole-array compares.
+integer of arbitrary width.  The vector backends re-pack that state into
+``(words, lanes)`` arrays of ``uint64`` lanes (lane ``i`` holds word bits
+``64 * i`` .. ``64 * i + 63``), stacked per bucket, so march writes become
+whole-array assignments and march reads become whole-array compares.
 
 numpy itself is an *optional* dependency of the engine (the ``[fast]``
 extra); every entry point gates on :data:`HAVE_NUMPY` and falls back to the
@@ -57,15 +57,17 @@ def pack_state(words: list[int], lanes: int):
 
 
 def pack_bank(memories):
-    """Pack same-geometry memories into one stacked fleet array.
+    """Pack same-geometry memories into one stacked array.
 
     Returns ``(states, clean_masks, dirty_masks, lanes)`` where ``states``
     is ``(n_mem, words, lanes)`` uint64 and the masks are ``(n_mem,
     words)`` bool (dirty = some fault hook can fire on that word).  Row
-    ``states[i]`` is authoritative for memory ``i``'s *clean* words only,
-    exactly like the single-memory packing in
-    :func:`repro.engine.kernel.pack_memory`; hand each slice back through
+    ``states[i]`` is authoritative for memory ``i``'s *clean* words only
+    (plus, in the batched tier, its fault-table words); the stack runner
+    :func:`repro.engine.kernel.run_stack` hands each slice back through
     :func:`repro.engine.kernel.sync_clean_rows` when the run finishes.
+    Every vector run packs through here: a raw numpy run or numpy
+    session as a stack of one, a batched session per geometry bucket.
 
     All memories must share ``(words, bits)`` -- the geometry-bucketing
     planner in :mod:`repro.engine.batched` guarantees that.

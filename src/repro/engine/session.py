@@ -12,19 +12,17 @@ by exploiting two structural facts:
 * the memories never interact: each memory's observations depend only on
   its own faults, its local address wrap and the delivered backgrounds.
 
-So the runner accounts the schedule arithmetically and simulates each
-memory independently through the bit-parallel kernel
-(:mod:`repro.engine.kernel`), replaying only fault-hooked words through
-the behavioural access path.  Memories the vector path cannot represent
-(decoder/column-mux faults, tracing) take a per-memory pure-Python path
-that mirrors the reference loop exactly, and whole-session features the
-fast path does not model (``bit_accurate``, ``early_abort``, protocol
-monitors, missing numpy) delegate to ``scheme.diagnose`` itself.
-
-The fleet-batched tier (:mod:`repro.engine.batched`) shares this module's
-plan building and schedule accounting but sweeps *stacks* of same-geometry
-memories per vector op; ``run_session`` dispatches to it when the resolved
-backend is the batched one.
+So the runner accounts the schedule arithmetically (:func:`begin_session`,
+:func:`finish_session`) and simulates the memories through the engine's
+one vector executor (:func:`repro.engine.kernel.run_stack`), planned by
+:func:`repro.engine.batched.run_batched_session`: the numpy backend as
+one-deep stacks with every fault-hooked word replayed behaviourally, the
+batched backend as geometry stacks plus the compiled fault table.
+Memories the vector path cannot represent (decoder/column-mux faults,
+tracing) take a per-memory pure-Python path that mirrors the reference
+loop exactly, and whole-session features the fast path does not model
+(``bit_accurate``, ``early_abort``, protocol monitors, missing numpy)
+delegate to ``scheme.diagnose`` itself.
 """
 
 from __future__ import annotations
@@ -38,18 +36,9 @@ from repro.engine.backends import (
     NumpyBackend,
     ReferenceBackend,
     resolve_backend,
-    vector_capable,
 )
 from repro.core.failure_log import FailureLog
-from repro.engine.kernel import (
-    ElementPlan,
-    OpPlan,
-    SessionHits,
-    pack_memory,
-    run_element,
-    run_element_slow,
-    sync_clean_rows,
-)
+from repro.engine.kernel import ElementPlan, OpPlan, SessionHits, run_element_slow
 from repro.engine.packing import HAVE_NUMPY, lanes_for
 from repro.march.algorithm import MarchAlgorithm, PauseStep
 from repro.march.element import AddressOrder
@@ -92,9 +81,7 @@ def run_session(
         # Imported lazily: batched builds on this module's helpers.
         from repro.engine.batched import BatchedBackend, run_batched_session
 
-        if isinstance(resolved, BatchedBackend):
-            return run_batched_session(scheme)
-        return _run_fast_session(scheme)
+        return run_batched_session(scheme, isinstance(resolved, BatchedBackend))
     require(
         isinstance(resolved, (NumpyBackend, ReferenceBackend)),
         f"run_session supports the 'reference', 'numpy' and 'batched' "
@@ -109,8 +96,7 @@ def begin_session(scheme: FastDiagnosisScheme):
     Returns ``(algorithm, report, deliveries, nwrc_ops)`` with the
     closed-form cycle schedule (identical to the reference's
     per-operation increments, summed) already folded into ``report`` and
-    the element-start handshake counters fired.  Shared by the per-memory
-    fast session below and the fleet-batched session runner.
+    the element-start handshake counters fired.
     """
     algorithm = scheme.algorithm_factory(scheme.controller_bits)
     require(
@@ -299,30 +285,14 @@ def _build_step_plans(
     return plans
 
 
-def _run_fast_session(scheme: FastDiagnosisScheme) -> ProposedReport:
-    algorithm, report, deliveries, nwrc_ops = begin_session(scheme)
-    reads_per_word = algorithm.reads_per_word()
-    for memory in scheme.bank:
-        failures = _run_memory_session(scheme, memory, algorithm)
-        report.failures[memory.name] = failures
-        finalize_memory_counters(scheme, memory, failures, reads_per_word)
-    return finish_session(scheme, report, deliveries, nwrc_ops)
-
-
 def _run_memory_session(
     scheme: FastDiagnosisScheme, memory: SRAM, algorithm: MarchAlgorithm
 ) -> FailureLog:
-    """Simulate one memory through the whole session, fast where possible."""
-    vector = vector_capable(memory)
-    if vector:
-        state, clean_mask, dirty_mask, lanes = pack_memory(memory)
+    """Simulate one memory the vector path cannot represent.
 
-    def run(plan: ElementPlan) -> None:
-        if vector:
-            run_element(memory, state, clean_mask, dirty_mask, plan, lanes, hits)
-        else:
-            hits.add_scalar(0, plan.step_index, run_element_slow(memory, plan))
-
+    Runs :func:`~repro.engine.kernel.run_element_slow` element by element,
+    which matches the reference loop cycle for cycle.
+    """
     tr = _tracer()
     hits = SessionHits(lanes_for(memory.bits), scheme.ecc_observers)
     plans = session_step_plans(scheme, memory, algorithm)
@@ -334,10 +304,7 @@ def _run_memory_session(
             with tr.span(
                 "march.element", "march", step=plan.step_label, memory=memory.name
             ):
-                run(plan)
+                hits.add_scalar(0, plan.step_index, run_element_slow(memory, plan))
         else:
-            run(plan)
-
-    if vector:
-        sync_clean_rows(memory, state, clean_mask)
+            hits.add_scalar(0, plan.step_index, run_element_slow(memory, plan))
     return hits.logs([memory.name], memory.bits, plans)[0]

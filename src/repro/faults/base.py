@@ -159,9 +159,9 @@ class Fault:
     def clone(self) -> "Fault":
         """An independent copy carrying this fault's current state.
 
-        Attribute-for-attribute: subclasses owning a mutable helper
-        object (a private random stream) copy it too, so the twin never
-        shares state with the original.
+        Attribute-for-attribute: a subclass owning a mutable helper
+        object must copy it too, so the twin never shares state with the
+        original.
         """
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
@@ -180,9 +180,9 @@ class Fault:
         counter-based Bernoulli streams (intermittent/SEU) or the elapsed
         time since the last fragile write (retention decay), both of
         which are closed-form in the march plan's per-cell visit orders
-        and the time base's cycle model.  Faults whose randomness is a
-        *sequential* stream (the legacy intermittent compat mode) or that
-        rewire the periphery (decoder/column faults) return ``False`` and
+        and the time base's cycle model.  Faults whose behaviour depends
+        on a *sequential* stream or on intra-visit ordering, or that
+        rewire the periphery (decoder/column faults), return ``False`` and
         keep the exact behavioural replay lane.  The conservative default
         is non-lowerable, so new fault classes opt *in*.
         """

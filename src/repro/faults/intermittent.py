@@ -27,20 +27,11 @@ sequence is identical whether the hooks fire behaviourally (reference,
 replay lane) or the compiled fault table computes whole visit schedules
 analytically from the march plan (:mod:`repro.engine.fault_table`); the
 differential fuzz harness asserts this bit-exactly over random
-intermittent populations.
-
-``legacy_stream=True`` restores the pre-counter behaviour: a private
-sequential :class:`~repro.util.rng.SplitMix64Stream` whose k-th draw
-requires the k-1 draws before it.  Legacy faults are *not* lowerable and
-always take the behavioural replay lane; the flag exists so populations
-sampled against the old stream reproduce historical results.  The hash
-helpers are pure Python, so the fault library keeps working without the
-``[fast]`` numpy extra.
+intermittent populations.  The hash helpers are pure Python, so the
+fault library keeps working without the ``[fast]`` numpy extra.
 """
 
 from __future__ import annotations
-
-import copy
 
 from repro.faults.base import (
     KIND_INT_READ,
@@ -59,48 +50,32 @@ class _PerAccessUpset(CellFault):
     """Shared plumbing: a victim cell plus a counter-based Bernoulli stream."""
 
     def __init__(
-        self,
-        cell: CellRef,
-        upset_probability: float,
-        seed: int = 0,
-        legacy_stream: bool = False,
+        self, cell: CellRef, upset_probability: float, seed: int = 0
     ) -> None:
         require_in_range(upset_probability, 0.0, 1.0, "upset_probability")
         self.victims = (cell,)
         self.upset_probability = upset_probability
         self.seed = int(seed)
-        self.legacy_stream = bool(legacy_stream)
-        self._stream = SplitMix64Stream(self.seed) if legacy_stream else None
         #: Number of Bernoulli decisions consumed so far (the counter of
         #: the next draw).  The compiled fault table advances this
         #: analytically and publishes the final value back after each
         #: batched session, so mixed table/replay flows stay in step.
         self._draws = 0
 
-    def clone(self) -> "_PerAccessUpset":
-        twin = super().clone()
-        if self._stream is not None:
-            twin._stream = copy.copy(self._stream)
-        return twin
-
     def _upset(self) -> bool:
         """Draw the next per-access Bernoulli outcome."""
-        if self._stream is not None:
-            return self._stream.next_float() < self.upset_probability
         counter = self._draws
         self._draws = counter + 1
         return counter_bernoulli(self.seed, counter, self.upset_probability)
 
     def vector_lowerable(self) -> bool:
-        """Counter-mode faults lower; the legacy stream stays behavioural.
+        """Counter-based draws lower to the fault table.
 
         A counter-based decision is a pure function of ``(seed, k)``, so
         the table evaluator computes each visit's draw directly from the
-        march plan's per-cell access counts.  The sequential legacy
-        stream has no such closed form and keeps the replay lane, which
-        fires every hook in exact reference order.
+        march plan's per-cell access counts.
         """
-        return not self.legacy_stream
+        return True
 
     def lower(self) -> LoweredFault:
         return LoweredFault(
@@ -125,14 +100,10 @@ class IntermittentReadFault(_PerAccessUpset):
     _LOWERED_KIND = KIND_INT_READ
 
     def __init__(
-        self,
-        cell: CellRef,
-        upset_probability: float,
-        seed: int = 0,
-        legacy_stream: bool = False,
+        self, cell: CellRef, upset_probability: float, seed: int = 0
     ) -> None:
         self.fault_class = FaultClass.INT_READ
-        super().__init__(cell, upset_probability, seed, legacy_stream)
+        super().__init__(cell, upset_probability, seed)
 
     def on_read(self, memory, word, bit, stored_bit):
         if self._upset():
@@ -146,14 +117,10 @@ class SoftErrorUpsetFault(_PerAccessUpset):
     _LOWERED_KIND = KIND_SEU
 
     def __init__(
-        self,
-        cell: CellRef,
-        upset_probability: float,
-        seed: int = 0,
-        legacy_stream: bool = False,
+        self, cell: CellRef, upset_probability: float, seed: int = 0
     ) -> None:
         self.fault_class = FaultClass.SEU
-        super().__init__(cell, upset_probability, seed, legacy_stream)
+        super().__init__(cell, upset_probability, seed)
 
     def on_read(self, memory, word, bit, stored_bit):
         if self._upset():
@@ -205,7 +172,6 @@ def sample_intermittent_population(
     rate: float,
     upset_probability: float,
     seed: int = 0,
-    legacy_stream: bool = False,
 ) -> list[CellFault]:
     """Sample a seeded intermittent/soft-error population for one memory.
 
@@ -216,9 +182,7 @@ def sample_intermittent_population(
     choice depends only on the master seed and the victim's cell index,
     roughly half-and-half over large populations and invariant under
     fault-list reordering.  Each fault gets a private stream seed derived
-    from ``seed`` and its victim cell.  ``legacy_stream`` threads the
-    sequential-stream compat flag through to every sampled fault.  Pure
-    Python: no numpy required.
+    from ``seed`` and its victim cell.  Pure Python: no numpy required.
     """
     require_in_range(rate, 0.0, 1.0, "rate")
     require_in_range(upset_probability, 0.0, 1.0, "upset_probability")
@@ -241,12 +205,5 @@ def sample_intermittent_population(
         cls = INTERMITTENT_CLASSES[
             mix_seed(seed, 0x5E0, index) % len(INTERMITTENT_CLASSES)
         ]
-        faults.append(
-            cls(
-                cell,
-                upset_probability,
-                seed=mix_seed(seed, index),
-                legacy_stream=legacy_stream,
-            )
-        )
+        faults.append(cls(cell, upset_probability, seed=mix_seed(seed, index)))
     return faults

@@ -27,14 +27,13 @@ from repro.faults.transition import TransitionFault
 from repro.faults.weak_cell import WeakCellDefect
 from repro.memory.geometry import CellRef, MemoryGeometry
 from repro.soc.chip import SoCConfig
-from repro.util.rng import SplitMix64Stream
 
 #: Types whose instances are immutable values a clone may share.
 IMMUTABLE = (int, float, str, bool, tuple, type(None), enum.Enum, CellRef)
 
 
 def library(memory) -> list:
-    """One fault of every library class, legacy-stream intermittents included."""
+    """One fault of every library class."""
     cell = CellRef
 
     return [
@@ -51,8 +50,6 @@ def library(memory) -> list:
         WeakCellDefect(cell(13, 0), weak_value=1),
         IntermittentReadFault(cell(14, 0), 0.5, seed=7),
         SoftErrorUpsetFault(cell(15, 0), 0.5, seed=8),
-        IntermittentReadFault(cell(14, 1), 0.5, seed=9, legacy_stream=True),
-        SoftErrorUpsetFault(cell(15, 1), 0.5, seed=10, legacy_stream=True),
         AddressOpenFault(memory.words - 1, memory.bits),
     ]
 
@@ -123,10 +120,6 @@ class TestSampleOnce:
         assert any(fault._draws for fault in used if hasattr(fault, "_draws"))
         assert all(
             fault._draws == 0 for fault in fresh if hasattr(fault, "_draws")
-        )
-        legacy = [f for f in fresh if getattr(f, "legacy_stream", False)]
-        assert legacy and all(
-            f._stream._state == SplitMix64Stream(f.seed)._state for f in legacy
         )
         # Twin sessions agree: the clones behave like the sampled faults.
         assert (

@@ -174,12 +174,12 @@ class TestRegistry:
     def test_known_backends(self):
         availability = available_backends()
         assert availability["reference"] is True
-        assert "numpy" in availability and "fast" in availability
+        assert "numpy" in availability
 
     def test_get_backend_auto(self):
         assert isinstance(get_backend("auto"), MarchBackend)
         assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend("fast"), NumpyBackend)
+        assert isinstance(get_backend("numpy"), NumpyBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.campaign import DiagnosisCampaign
 from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.backends import available_backends, get_backend
 from repro.engine.batched import (
@@ -24,6 +25,8 @@ from repro.memory.bank import MemoryBank
 from repro.memory.geometry import MemoryGeometry
 from repro.memory.sram import SRAM
 from repro.scenarios.spec import ScenarioSpec
+from repro.soc.case_study import case_study_soc
+from repro.telemetry.core import activate, deactivate
 
 
 def bank_of(*shapes: tuple[int, int], trace_last: bool = False) -> MemoryBank:
@@ -161,6 +164,37 @@ class TestRegistryAndDispatch:
         reference = FastDiagnosisScheme(bank_of((6, 3))).diagnose(bit_accurate=True)
         assert batched.failures == reference.failures
         assert batched.cycles == reference.cycles
+
+
+class TestLanePolicy:
+    """Both vector backends share one executor and differ in its lanes."""
+
+    @staticmethod
+    def traced_session(campaign, backend):
+        bank, _ = campaign.faulty_bank()
+        scheme = FastDiagnosisScheme(bank, period_ns=campaign.soc.period_ns)
+        tr = activate()
+        try:
+            report = run_session(scheme, backend=backend)
+        finally:
+            deactivate()
+        return report, tr.counters
+
+    def test_numpy_replays_hooked_rows_and_batched_lowers_them(self):
+        campaign = DiagnosisCampaign(
+            case_study_soc(memories=6), defect_rate=0.005, seed=2026
+        )
+        numpy_report, numpy_counters = self.traced_session(campaign, "numpy")
+        batched_report, batched_counters = self.traced_session(campaign, "batched")
+        # numpy: the shared executor's clean-word tracker skips compares,
+        # every fault-hooked row replays and no fault table is compiled.
+        assert numpy_counters.get("clean.compares_skipped") > 0
+        assert numpy_counters.get("replay.accesses") > 0
+        assert numpy_counters.get("lane.table.words") == 0
+        assert numpy_counters.get("table.lowered_faults") == 0
+        # batched on the same bank: lowered faults take the table lane.
+        assert batched_counters.get("lane.table.words") > 0
+        assert batched_report.failures == numpy_report.failures
 
 
 class TestAutoPlanning:

@@ -4,8 +4,8 @@ The contract under test: for every lowerable fault class, evaluating the
 lowered table representation over a geometry bucket produces *bit-identical*
 sessions to the behavioural object replay (the reference scheme), on
 randomized populations -- dense ones included -- while non-lowerable
-faults (legacy-stream intermittent faults, intra-word coupling) stay on
-the exact behavioural lane via the taint partition.  The stateful-but-
+faults (intra-word coupling, shared-cell chains) stay on the exact
+behavioural lane via the taint partition.  The stateful-but-
 analytic kinds (counter-based intermittent/SEU, retention decay) lower
 too, draw counters and decay clocks evaluated in closed form.
 
@@ -183,13 +183,6 @@ class TestLoweringProtocol:
         assert IntermittentReadFault(cell, 0.5).vector_lowerable()
         assert SoftErrorUpsetFault(cell, 0.5).vector_lowerable()
 
-    def test_legacy_stream_stays_behavioural(self):
-        cell = CellRef(1, 0)
-        legacy_read = IntermittentReadFault(cell, 0.5, legacy_stream=True)
-        legacy_seu = SoftErrorUpsetFault(cell, 0.5, legacy_stream=True)
-        assert not legacy_read.vector_lowerable()
-        assert not legacy_seu.vector_lowerable()
-
     def test_coupling_lowerable_only_inter_word(self):
         inter = InversionCouplingFault(CellRef(0, 1), CellRef(2, 1))
         intra = InversionCouplingFault(CellRef(0, 1), CellRef(0, 2))
@@ -255,7 +248,7 @@ class TestPartition:
         FaultInjector().inject(
             memory,
             [
-                IntermittentReadFault(CellRef(2, 1), 0.5, legacy_stream=True),
+                InversionCouplingFault(CellRef(2, 0), CellRef(2, 1)),
                 StuckAtFault(CellRef(3, 0), 0),
             ],
         )
@@ -264,14 +257,14 @@ class TestPartition:
         assert {spec.victim.word for spec in lowered} == {3}
 
     def test_taint_propagates_across_coupling_edges(self):
-        # A legacy-stream fault on word 4 (the coupling's aggressor word)
+        # An intra-word coupling on word 4 (the coupling's aggressor word)
         # must drag the victim word 6 onto the behavioural lane with it --
         # and vice versa, a tainted victim word pins its aggressor word.
         memory = self.memory()
         FaultInjector().inject(
             memory,
             [
-                SoftErrorUpsetFault(CellRef(4, 1), 0.5, legacy_stream=True),
+                InversionCouplingFault(CellRef(4, 0), CellRef(4, 1)),
                 InversionCouplingFault(CellRef(4, 2), CellRef(6, 0)),
             ],
         )
@@ -284,7 +277,7 @@ class TestPartition:
         FaultInjector().inject(
             memory,
             [
-                IntermittentReadFault(CellRef(0, 0), 0.5, legacy_stream=True),
+                InversionCouplingFault(CellRef(0, 2), CellRef(0, 0)),
                 IdempotentCouplingFault(CellRef(0, 1), CellRef(2, 1)),
                 StateCouplingFault(CellRef(2, 3), CellRef(7, 0)),
                 StuckAtFault(CellRef(5, 1), 1),
@@ -319,7 +312,7 @@ class TestPartition:
             memories[0],
             [
                 StuckAtFault(CellRef(1, 0), 1),
-                IntermittentReadFault(CellRef(2, 0), 0.5, legacy_stream=True),
+                InversionCouplingFault(CellRef(2, 1), CellRef(2, 0)),
                 # Untainted inter-word coupling: aggressor word 6 carries
                 # only the watch and stays on the *clean* lane.
                 InversionCouplingFault(CellRef(6, 1), CellRef(4, 1)),
@@ -363,22 +356,20 @@ class TestMixedRoundTrip:
             for index, memory in enumerate(bank):
                 rng = make_rng(0xDEF + case * 100 + index)
                 pick = cell_picker(memory.geometry, rng)
-                injector.inject(
-                    memory,
-                    [
-                        DataRetentionFault(
-                            pick(),
-                            int(rng.integers(2)),
-                            retention_ns=float(rng.integers(5, 200) * 10),
-                        ),
-                        IntermittentReadFault(pick(), 0.4, seed=case),
-                        # A legacy-stream fault keeps the behavioural
-                        # replay lane exercised alongside the table lane.
-                        SoftErrorUpsetFault(
-                            pick(), 0.3, seed=case + 7, legacy_stream=True
-                        ),
-                    ],
-                )
+                faults = [
+                    DataRetentionFault(
+                        pick(),
+                        int(rng.integers(2)),
+                        retention_ns=float(rng.integers(5, 200) * 10),
+                    ),
+                    IntermittentReadFault(pick(), 0.4, seed=case),
+                ]
+                # An intra-word coupling fault keeps the behavioural
+                # replay lane exercised alongside the table lane.
+                victim = pick()
+                aggressor = CellRef(victim.word, (victim.bit + 1) % memory.bits)
+                faults.append(InversionCouplingFault(aggressor, victim))
+                injector.inject(memory, faults)
 
         assert_sessions_identical(
             "mixed", ALGORITHMS[case % len(ALGORITHMS)], 0x31 + case, inject

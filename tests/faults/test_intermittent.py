@@ -96,23 +96,6 @@ class TestCounterStream:
         b._draws = 10
         assert [a._upset() for _ in range(20)] == [b._upset() for _ in range(20)]
 
-    def test_legacy_stream_restores_sequential_draws(self):
-        fault = IntermittentReadFault(
-            CellRef(0, 0), 0.5, seed=77, legacy_stream=True
-        )
-        stream = SplitMix64Stream(77)
-        expected = [stream.next_float() < 0.5 for _ in range(32)]
-        assert [fault._upset() for _ in range(32)] == expected
-
-    def test_legacy_and_counter_modes_differ(self):
-        legacy = IntermittentReadFault(
-            CellRef(0, 0), 0.5, seed=4, legacy_stream=True
-        )
-        counter = IntermittentReadFault(CellRef(0, 0), 0.5, seed=4)
-        assert [legacy._upset() for _ in range(64)] != [
-            counter._upset() for _ in range(64)
-        ]
-
 
 class TestSoftErrorUpsetFault:
     def test_upset_corrupts_stored_state(self):
@@ -208,15 +191,9 @@ class TestSampling:
         )
         assert len(population) == 3
 
-    def test_legacy_flag_threads_through_sampling(self):
-        population = sample_intermittent_population(
-            self.GEOMETRY, 0.1, 0.3, seed=3, legacy_stream=True
-        )
-        assert population
-        assert all(f.legacy_stream for f in population)
-        assert not any(f.vector_lowerable() for f in population)
+    def test_sampled_population_is_lowerable(self):
         default = sample_intermittent_population(self.GEOMETRY, 0.1, 0.3, seed=3)
-        assert all(not f.legacy_stream for f in default)
+        assert default
         assert all(f.vector_lowerable() for f in default)
 
     def test_works_without_numpy(self):

@@ -10,8 +10,10 @@ change with::
 
 The CLI classes pin the observable contract of ``repro fleet --backend
 batched`` and of ``--checkpoint``/``--resume``: exit codes and JSON
-shape, resumed payloads identical to uninterrupted ones, and stale
-checkpoints rejected with exit code 2.
+shape, resumed payloads identical to uninterrupted ones, stale
+checkpoints rejected with exit code 2, and backend parity of whole
+``--json`` reports (pooled numpy vs batched, and all three backends in
+the dense-defect regime).
 """
 
 from __future__ import annotations
@@ -168,3 +170,46 @@ class TestFleetCliResume:
             ]
         ) == 2
         assert "--sweep-radii" in capsys.readouterr().err
+
+
+def backend_free(payload: dict) -> dict:
+    """A fleet payload minus run metadata and the backend it ran on."""
+    payload = strip_timing(payload)
+    payload["spec"] = {
+        key: value for key, value in payload["spec"].items() if key != "backend"
+    }
+    return payload
+
+
+class TestFleetCliParity:
+    def test_pooled_numpy_batched_and_resume_agree(self, capsys, tmp_path):
+        argv = [
+            "fleet", "--campaigns", "4", "--memories", "6", "--workers", "2",
+            "--json",
+        ]
+        store = str(tmp_path / "ckpt")
+        assert main([*argv, "--backend", "numpy"]) == 0
+        numpy_run = backend_free(payload_of(capsys))
+        assert main([*argv, "--backend", "batched", "--checkpoint", store]) == 0
+        batched_run = backend_free(payload_of(capsys))
+        assert main(
+            [*argv, "--backend", "batched", "--checkpoint", store, "--resume"]
+        ) == 0
+        resumed_run = backend_free(payload_of(capsys))
+        assert numpy_run == batched_run, "fleet backends diverged"
+        assert batched_run == resumed_run, "resume changed the report"
+
+    def test_dense_regime_agrees_across_backends(self, capsys):
+        """0.5 % defects: most fault-hooked rows take the table lane."""
+        argv = [
+            "fleet", "--campaigns", "2", "--memories", "6", "--workers", "1",
+            "--defect-rate", "0.005", "--seed", "77", "--json",
+        ]
+        payloads = {}
+        for backend in ("reference", "numpy", "batched"):
+            assert main([*argv, "--backend", backend]) == 0
+            payloads[backend] = backend_free(payload_of(capsys))
+        reference = payloads["reference"]
+        assert payloads["numpy"] == reference
+        assert payloads["batched"] == reference
+        assert reference["total_failures"] > 0
