@@ -8,7 +8,8 @@ The engine is the execution layer above the paper's single-session models:
   every numpy and batched run goes through, over stacks of memories;
 * :mod:`repro.engine.batched` -- the session planner: one-deep stacks
   for numpy, and for the fleet tier same-geometry memories stacked into
-  one ``(n_mem, words, lanes)`` array with a compiled fault table;
+  one ``(n_mem, words, lanes)`` array, with a compiled fault table where
+  a stack has enough fault-hooked rows;
 * :mod:`repro.engine.session` -- fast, bit-exact execution of a full
   proposed-scheme diagnosis session;
 * :mod:`repro.engine.baseline_session` -- fast, bit-exact execution of the

@@ -25,9 +25,9 @@ backends ship:
     :mod:`repro.engine`): identical to ``numpy`` for raw single-memory
     runs, but diagnosis sessions hand the same executor every
     same-geometry memory of the bank as one ``(n_mem, words, lanes)``
-    stack, with lowerable faults evaluated through the compiled fault
-    table.  The fleet scheduler upgrades ``auto`` to it when geometry
-    bucketing pays off.
+    stack; in stacks of enough fault-hooked rows, lowerable faults are
+    evaluated through the compiled fault table.  The fleet scheduler
+    upgrades ``auto`` to it when geometry bucketing pays off.
 
 The registry maps names to backend factories so later PRs (and user code)
 can plug in further implementations::

@@ -12,15 +12,22 @@ they differ only in what the planner hands it:
   every march element is applied to the whole stack as single
   fleet-wide ops -- one write assignment and one compare per operation
   per wrap-around block, regardless of how many SRAMs share the
-  geometry.  *Analytically evaluable* cell faults -- the deterministic
-  kinds (stuck-at, transition, read/write-disturb, NWRC-weak, inter-word
-  coupling) plus the stateful-but-closed-form ones (counter-based
-  intermittent/soft-error upsets, retention decay with its analytic
-  visit clock) -- are lowered into a compiled fault table
-  (:mod:`repro.engine.fault_table`) and evaluated fleet-wide as masked
-  vector ops inside the same block decomposition; the remaining
-  fault-hooked words (intra-word coupling, shared-cell chains) keep the
-  behavioural replay lane, exact sweep order and clocking per memory.
+  geometry.  A bucket whose memories carry at least
+  :data:`TABLE_MIN_HOOKED_ROWS` fault-hooked rows also compiles a fault
+  table (:mod:`repro.engine.fault_table`): its *analytically evaluable*
+  cell faults -- the deterministic kinds (stuck-at, transition,
+  read/write-disturb, NWRC-weak, inter-word coupling) plus the
+  stateful-but-closed-form ones (counter-based intermittent/soft-error
+  upsets, retention decay with its analytic visit clock) -- are
+  evaluated fleet-wide as masked vector ops inside the same block
+  decomposition, and the remaining fault-hooked words (intra-word
+  coupling, shared-cell chains) keep the behavioural replay lane, exact
+  sweep order and clocking per memory.  A bucket with fewer hooked rows
+  compiles nothing and replays them all, because the table's evaluator
+  calls cost fixed numpy work per block that only many rows repay.  The
+  count comes from the packed stack's hooked-row masks, before anything
+  is partitioned.  The rule is part of the plan, so it holds whether
+  ``batched`` was forced or ``auto`` chose it.
 * ``numpy`` -- one-deep stacks, one per vector-capable memory, with
   every fault-hooked row on behavioural replay: no lowering, no table.
 
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.backends import NumpyBackend, register_backend, vector_capable
-from repro.engine.fault_table import TableEvaluator, lower_bucket
+from repro.engine.fault_table import BucketLanes, TableEvaluator, lower_bucket
 from repro.engine.kernel import run_stack
 from repro.engine.session import (
     _run_memory_session,
@@ -55,14 +62,28 @@ from repro.engine.session import (
 )
 from repro.telemetry.core import tracer as _tracer
 
+#: Fault-hooked rows, summed over a geometry bucket's memories, from
+#: which the batched plan compiles the bucket's fault table; a smaller
+#: bucket replays every hooked row.  Traced over the buckets of all four
+#: perfbench workloads (2-core Xeon), replay costs a near-flat 5-9 us per
+#: row visit (``lane.replay.ns`` / ``lane.replay.words``).  The table's
+#: evaluator calls are fixed numpy work per block, so its cost per row
+#: visit (``lane.table.ns`` plus ``table.compile.ns``, over
+#: ``lane.table.words``) falls with the bucket's rows: 40 us at 1-3 rows,
+#: 11 us at 16-31, 6-7 us at 32-64 and 1-4 us from 65.  The lanes break
+#: even between 32 and 64 rows, where every threshold gave the same
+#: workload totals.  The low end is taken: a table just past break-even
+#: costs at most ~1.2x replay, while replay past it grows with each row.
+TABLE_MIN_HOOKED_ROWS = 32
+
 
 class BatchedBackend(NumpyBackend):
     """Numpy backend whose sessions sweep geometry buckets as one array.
 
     For raw single-memory march runs this is exactly the numpy backend;
     selecting it for a session (``run_session`` / campaigns / fleets)
-    switches :func:`run_batched_session` to geometry stacks plus the
-    compiled fault table.
+    switches :func:`run_batched_session` to geometry stacks, with a
+    compiled fault table on buckets of enough hooked rows.
     """
 
     name = "batched"
@@ -146,9 +167,10 @@ def run_batched_session(
 ) -> ProposedReport:
     """Run one diagnosis session through the vector stack runner.
 
-    ``batched=True`` sweeps geometry buckets with the compiled fault
-    table; ``batched=False`` is the numpy backend's plan (one-deep
-    stacks, every fault-hooked row replayed).  Either way the
+    ``batched=True`` sweeps geometry buckets, each with a compiled fault
+    table or on replay alone (:func:`_bucket_lanes`); ``batched=False``
+    is the numpy backend's plan (one-deep stacks, every fault-hooked row
+    replayed).  Either way the
     :class:`~repro.core.report.ProposedReport` equals the reference's,
     bit for bit (failure logs whose records come out in identical order,
     cycle and time accounting included).
@@ -158,16 +180,12 @@ def run_batched_session(
     buckets, fallback = plan_session_buckets(scheme.bank, stacked=batched)
     for bucket in buckets:
         memories = [scheme.bank[index] for index in bucket.indices]
-        # Batched rows split three ways -- ideal rows take the block-op
-        # path, rows whose faults all lower the compiled-table path, the
-        # rest the behavioural replay lane; numpy replays every
-        # fault-hooked row.
         logs = run_stack(
             memories,
             session_step_plans(scheme, memories[0], algorithm),
             scheme.controller_words,
             scheme.ecc_observers,
-            lower_bucket(memories) if batched else None,
+            _bucket_lanes if batched else None,
             _table_evaluator,
         )
         for memory, failures in zip(memories, logs):
@@ -182,6 +200,20 @@ def run_batched_session(
             scheme, memory, report.failures[memory.name], reads_per_word
         )
     return finish_session(scheme, report, deliveries, nwrc_ops)
+
+
+def _bucket_lanes(memories, hooked_masks) -> BucketLanes | None:
+    """The batched plan of one bucket: a fault table, or replay only.
+
+    A bucket with at least :data:`TABLE_MIN_HOOKED_ROWS` fault-hooked
+    rows splits three ways -- ideal rows on the block ops, rows whose
+    faults all lower on the compiled table, the rest on behavioural
+    replay.  A smaller one compiles nothing: its hooked rows replay, as
+    on the numpy plan, while the stack still shares the block ops.
+    """
+    if int(hooked_masks.sum()) < TABLE_MIN_HOOKED_ROWS:
+        return None
+    return lower_bucket(memories)
 
 
 class _TimedEvaluator:

@@ -194,7 +194,14 @@ class BucketLanes:
 
 
 def lower_bucket(memories: "list[SRAM]") -> BucketLanes:
-    """Partition a same-geometry bucket and compile its fault table."""
+    """Partition a same-geometry bucket and compile its fault table.
+
+    The batched plan calls this only for buckets of at least
+    :data:`repro.engine.batched.TABLE_MIN_HOOKED_ROWS` fault-hooked rows;
+    smaller buckets replay every hooked row instead, as the numpy plan
+    does, since the table's evaluator calls cost fixed numpy work per
+    block whatever the row count.
+    """
     tr = _tracer()
     if tr.enabled:
         started = time.perf_counter_ns()

@@ -12,8 +12,9 @@ mismatches come out of one :class:`SessionHits` as per-memory failure
 logs.  The backends differ only in what they hand the runner: the numpy
 backend one-deep stacks with every fault-hooked row on behavioural
 replay, the batched tier (:mod:`repro.engine.batched`) same-geometry
-stacks plus a compiled fault table (:mod:`repro.engine.fault_table`).
-Each row of a stack takes one of three lanes:
+stacks, plus a compiled fault table (:mod:`repro.engine.fault_table`)
+for stacks with enough fault-hooked rows.  Each row of a stack takes one
+of three lanes:
 
 * **Clean rows** -- no fault hook can fire there
   (:meth:`repro.memory.SRAM.hooked_words`) -- behave ideally, so a whole
@@ -23,8 +24,11 @@ Each row of a stack takes one of three lanes:
   most ``words`` consecutive positions so that no row is touched twice
   inside one vector op (wrap-around revisits land in later blocks, which
   also fixes the wrapped-expectation flag per block).
-* **Table rows** -- rows whose faults all lower -- are evaluated by the
-  compiled fault table as masked vector ops inside the same blocks.
+* **Table rows** -- rows whose faults all lower, in a batched stack of
+  at least :data:`repro.engine.batched.TABLE_MIN_HOOKED_ROWS` hooked
+  rows -- are evaluated by the compiled fault table as masked vector ops
+  inside the same blocks.  Smaller stacks compile no table, since its
+  fixed per-block cost outweighs replaying a few rows.
 * **Replay rows** go through the behavioural access path
   (:meth:`~repro.memory.SRAM.replay_read` /
   :meth:`~repro.memory.SRAM.replay_write`) in exact sweep order, with
@@ -598,7 +602,7 @@ def run_stack(
     plans: list,
     sweep_length: int,
     observers=None,
-    split=None,
+    lower=None,
     evaluator_for=None,
 ) -> list[FailureLog]:
     """Run ``plans`` over one same-geometry stack: the one vector path.
@@ -607,16 +611,19 @@ def run_stack(
     :func:`run_element_batched` (pauses idle every member), writes the
     packed rows back and returns one reference-ordered failure log per
     memory, decoded through ``observers`` (memory name ->
-    :class:`~repro.ecc.observer.EccObserver`) when given.  Without
-    ``split`` every fault-hooked row takes the behavioural replay lane;
-    a :class:`~repro.engine.fault_table.BucketLanes` partition moves its
-    table rows onto the evaluator ``evaluator_for(table, sweep, states)``
-    builds, and the table's fault state is published back afterwards so
-    multi-session flows resume exactly.
+    :class:`~repro.ecc.observer.EccObserver`) when given.  Every
+    fault-hooked row takes the behavioural replay lane unless
+    ``lower(memories, hooked_masks)`` -- called with the packed stack's
+    ``(n_mem, words)`` hooked-row masks -- returns a
+    :class:`~repro.engine.fault_table.BucketLanes` partition: its table
+    rows then move onto the evaluator ``evaluator_for(table, sweep,
+    states)`` builds, and the table's fault state is published back
+    afterwards so multi-session flows resume exactly.
     """
     states, clean_masks, replay_masks, lanes = pack_bank(memories)
     vector_masks = clean_masks
     table = None
+    split = None if lower is None else lower(memories, replay_masks)
     if split is not None:
         replay_masks, clean_masks = split.replay_masks, split.clean_masks
         vector_masks, table = split.vector_masks, split.table
@@ -627,6 +634,7 @@ def run_stack(
         counters = tr.counters
         clean_rows = int(clean_masks.sum())
         counters.add("bucket.sessions")
+        counters.add("bucket.table_plans", int(split is not None))
         counters.add("bucket.memories", len(memories))
         counters.add("bucket.replay_rows", int(replay_masks.sum()))
         counters.add("bucket.table_rows", int(vector_masks.sum()) - clean_rows)

@@ -17,7 +17,8 @@ So the runner accounts the schedule arithmetically (:func:`begin_session`,
 one vector executor (:func:`repro.engine.kernel.run_stack`), planned by
 :func:`repro.engine.batched.run_batched_session`: the numpy backend as
 one-deep stacks with every fault-hooked word replayed behaviourally, the
-batched backend as geometry stacks plus the compiled fault table.
+batched backend as geometry stacks, with the compiled fault table on
+stacks of enough fault-hooked rows.
 Memories the vector path cannot represent (decoder/column-mux faults,
 tracing) take a per-memory pure-Python path that mirrors the reference
 loop exactly, and whole-session features the fast path does not model

@@ -3,8 +3,8 @@ fault-tolerant execution layer.
 
 Everything here is *test infrastructure shipped as library code*: the
 chaos harness must be importable by worker processes (a chunk runner
-has to pickle by module reference) and by the CI chaos-smoke job, so it
-lives in the package rather than under ``tests/``.
+has to pickle by module reference) and by the CLI's ``--chaos`` option,
+so it lives in the package rather than under ``tests/``.
 """
 
 from repro.testing.chaos import (

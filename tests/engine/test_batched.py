@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.campaign import DiagnosisCampaign
 from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.backends import available_backends, get_backend
 from repro.engine.batched import (
+    TABLE_MIN_HOOKED_ROWS,
     BatchedBackend,
     batched_backend_pays_off,
     geometry_buckets,
@@ -20,12 +22,16 @@ from repro.engine.fleet import FleetSpec, FleetScheduler, plan_spec_backend
 from repro.engine.packing import pack_bank
 from repro.engine.session import run_session
 from repro.faults.injector import FaultInjector
+from repro.faults.intermittent import fault_for_event
 from repro.faults.population import sample_population
+from repro.faults.stuck_at import StuckAtFault
 from repro.memory.bank import MemoryBank
-from repro.memory.geometry import MemoryGeometry
+from repro.memory.geometry import CellRef, MemoryGeometry
 from repro.memory.sram import SRAM
 from repro.scenarios.spec import ScenarioSpec
 from repro.soc.case_study import case_study_soc
+from repro.soc.chip import SoCConfig
+from repro.streaming.monitor import StreamingSpec
 from repro.telemetry.core import activate, deactivate
 
 
@@ -195,6 +201,79 @@ class TestLanePolicy:
         # batched on the same bank: lowered faults take the table lane.
         assert batched_counters.get("lane.table.words") > 0
         assert batched_report.failures == numpy_report.failures
+
+
+def traced_batched_run(scheme):
+    """One batched session under telemetry: ``(report, counters)``."""
+    tr = activate()
+    try:
+        report = run_session(scheme, backend="batched")
+    finally:
+        deactivate()
+    return report, tr.counters
+
+
+class TestBucketTablePlan:
+    """Batched buckets compile a fault table only from enough hooked rows."""
+
+    @staticmethod
+    def monitor_window_scheme():
+        """The bank the default monitor stream sweeps in its first
+        window with events, its events attached as faults."""
+        spec = StreamingSpec()
+        soc = spec.build_soc()
+        timeline = spec.timeline(soc)
+        events = next(
+            events
+            for events in map(timeline.events_for_window, itertools.count())
+            if events
+        )
+        geometries = {geometry.name: geometry for geometry in soc.geometries}
+        affected = sorted({event.memory for event in events})
+        bank = SoCConfig(
+            name="window",
+            geometries=[geometries[name] for name in affected],
+            period_ns=spec.period_ns,
+        ).build_bank()
+        for event in events:
+            fault_for_event(
+                event.kind,
+                geometries[event.memory].cell_at(event.cell_index),
+                spec.upset_probability,
+                event.seed,
+            ).attach(bank.by_name(event.memory))
+        return FastDiagnosisScheme(bank, period_ns=spec.period_ns)
+
+    def test_monitor_window_replays_its_lowerable_events(self):
+        report, counters = traced_batched_run(self.monitor_window_scheme())
+        numpy_report = run_session(self.monitor_window_scheme(), backend="numpy")
+        assert counters.get("bucket.sessions") > 0
+        assert counters.get("bucket.table_plans") == 0
+        assert counters.get("table.lowered_faults") == 0
+        assert counters.get("lane.table.words") == 0
+        assert counters.get("replay.accesses") > 0
+        assert report.failures == numpy_report.failures
+
+    @staticmethod
+    def stuck_rows_scheme(rows):
+        """Two 64x8 memories, one bucket, ``rows`` stuck-at words in all."""
+        bank = bank_of((64, 8), (64, 8))
+        for row in range(rows):
+            StuckAtFault(CellRef(row // 2, 0), 1).attach(bank[row % 2])
+        return FastDiagnosisScheme(bank, period_ns=10.0)
+
+    @pytest.mark.parametrize(
+        "rows, lowers",
+        [(TABLE_MIN_HOOKED_ROWS, True), (TABLE_MIN_HOOKED_ROWS - 1, False)],
+    )
+    def test_table_from_the_threshold_on(self, rows, lowers):
+        report, counters = traced_batched_run(self.stuck_rows_scheme(rows))
+        numpy_report = run_session(self.stuck_rows_scheme(rows), backend="numpy")
+        assert counters.get("bucket.sessions") == 1
+        assert counters.get("bucket.table_plans") == int(lowers)
+        assert counters.get("table.lowered_faults") == (rows if lowers else 0)
+        assert (counters.get("lane.table.words") > 0) == lowers
+        assert report.failures == numpy_report.failures
 
 
 class TestAutoPlanning:

@@ -1,7 +1,8 @@
 """The deterministic chaos harness and its headline invariant.
 
-The property this file pins (the CI chaos-smoke gate asserts the same
-end-to-end through the CLI): a fleet run with seeded fault injection --
+The property this file pins (``TestChaosRoundTrip`` in
+``tests/test_cli_fault_tolerance.py`` asserts the same end to end
+through the CLI): a fleet run with seeded fault injection --
 workers killed, exceptions raised, checkpoint chunks corrupted -- that
 recovers through retries and quarantine-mode resume reproduces the
 undisturbed run's ``deterministic_dict()`` *and* checkpoint store bytes

@@ -34,6 +34,15 @@ weak-cell layer and a mandatory intermittent layer), so the compiled
 fault table's mixed lowerable/behavioural partition is fuzzed with every
 table-lowerable class present.
 
+The batched plan compiles a bucket's fault table only from
+:data:`~repro.engine.batched.TABLE_MIN_HOOKED_ROWS` hooked rows, which
+most fuzz buckets fall below.  Every batched session in this module
+therefore runs with that threshold at 0 -- every bucket on the table
+lane -- and the bucketed and dense suites add the shipped threshold as
+one more leg, which also covers stacked buckets whose lowerable faults
+replay.  :class:`TestDefaultPlan` pins that coverage and checks a
+session that mixes both plans.
+
 The generator is deterministic per case index, so failures reproduce
 exactly; widen ``CASES`` locally to fuzz harder.
 """
@@ -44,6 +53,7 @@ import pytest
 
 from repro.baseline.scheme import HuangJoneScheme
 from repro.core.scheme import FastDiagnosisScheme
+from repro.engine import batched
 from repro.engine.backends import ReferenceBackend, get_backend
 from repro.engine.baseline_session import run_baseline_session
 from repro.engine.session import run_session
@@ -76,6 +86,23 @@ ALGORITHMS = [
 
 #: Number of fuzz cases per suite run (each is an independent seed).
 CASES = 10
+
+#: The batched plan's shipped table threshold (the fixture below lowers
+#: the module's to 0 for every test).
+DEFAULT_TABLE_ROWS = batched.TABLE_MIN_HOOKED_ROWS
+
+
+@pytest.fixture(autouse=True)
+def table_on_every_bucket(monkeypatch):
+    """Run every batched session of this module on the always-table plan."""
+    monkeypatch.setattr(batched, "TABLE_MIN_HOOKED_ROWS", 0)
+
+
+def run_default_plan(monkeypatch, scheme):
+    """A batched session at the shipped table threshold."""
+    with monkeypatch.context() as patch:
+        patch.setattr(batched, "TABLE_MIN_HOOKED_ROWS", DEFAULT_TABLE_ROWS)
+        return run_session(scheme, backend="batched")
 
 
 def draw_case(case_index: int):
@@ -335,12 +362,12 @@ class TestDifferentialFuzzBatched:
             float(rng.uniform(0.05, 0.9)),
         )
 
-    def test_proposed_session_three_way(self, case_index):
+    def test_proposed_session_three_way(self, case_index, monkeypatch):
         geometries, defect_rate, algorithm, seed = draw_bucketed_case(case_index)
         layer = self.intermittent_layer(case_index)
         banks = {
             backend: build_bank(geometries, defect_rate, seed, layer)[0]
-            for backend in ("reference", "numpy", "batched")
+            for backend in ("reference", "numpy", "batched", "batched-default")
         }
         reference = FastDiagnosisScheme(
             banks["reference"], algorithm_factory=algorithm
@@ -352,6 +379,12 @@ class TestDifferentialFuzzBatched:
             )
             for backend in ("numpy", "batched")
         }
+        reports["batched-default"] = run_default_plan(
+            monkeypatch,
+            FastDiagnosisScheme(
+                banks["batched-default"], algorithm_factory=algorithm
+            ),
+        )
         for backend, fast in reports.items():
             assert fast.failures == reference.failures, backend
             assert fast.cycles == reference.cycles, backend
@@ -441,7 +474,7 @@ class TestDifferentialFuzzDense:
     edges and the wrap-around block evaluation together.
     """
 
-    def test_proposed_session_three_way(self, case_index):
+    def test_proposed_session_three_way(self, case_index, monkeypatch):
         (
             geometries,
             defect_rate,
@@ -454,16 +487,17 @@ class TestDifferentialFuzzDense:
             backend: build_bank(
                 geometries, defect_rate, seed, intermittent, dynamic_rate
             )[0]
-            for backend in ("reference", "numpy", "batched")
+            for backend in ("reference", "numpy", "batched", "batched-default")
         }
         reference = FastDiagnosisScheme(
             banks["reference"], algorithm_factory=algorithm
         ).diagnose()
-        for backend in ("numpy", "batched"):
-            fast = run_session(
-                FastDiagnosisScheme(banks[backend], algorithm_factory=algorithm),
-                backend=backend,
-            )
+        for backend in ("numpy", "batched", "batched-default"):
+            scheme = FastDiagnosisScheme(banks[backend], algorithm_factory=algorithm)
+            if backend == "batched-default":
+                fast = run_default_plan(monkeypatch, scheme)
+            else:
+                fast = run_session(scheme, backend=backend)
             assert fast.failures == reference.failures, backend
             assert fast.cycles == reference.cycles, backend
             assert fast.deliveries == reference.deliveries, backend
@@ -491,6 +525,66 @@ class TestDifferentialFuzzDense:
         assert fast.failures == reference.failures
         assert fast.cycles == reference.cycles
         assert_states_equal(reference_bank, fast_bank)
+
+
+class TestDefaultPlan:
+    """The shipped table threshold: stacked replay and mixed sessions."""
+
+    def test_fuzz_matrix_replays_stacked_lowerable_buckets(self):
+        """The default-plan legs above run stacked buckets whose
+        lowerable faults replay, which the always-table plan never does."""
+        from repro.engine.batched import geometry_buckets
+        from repro.engine.fault_table import partition_faults
+
+        stacked_replay = False
+        for case_index in range(CASES):
+            geometries, defect_rate, dynamic, layer, _, seed = draw_dense_case(
+                case_index
+            )
+            bank = build_bank(geometries, defect_rate, seed, layer, dynamic)[0]
+            for indices in geometry_buckets(bank).values():
+                memories = [bank[index] for index in indices]
+                hooked = sum(len(memory.hooked_words()) for memory in memories)
+                stacked_replay |= (
+                    hooked < DEFAULT_TABLE_ROWS
+                    and len(memories) > 1
+                    and any(partition_faults(memory)[0] for memory in memories)
+                )
+        assert stacked_replay
+
+    def test_session_mixing_both_plans(self, monkeypatch):
+        """A dense bucket on the table and a sparse one on replay in one
+        session match the reference, numpy and the always-table plan."""
+        from repro.telemetry.core import activate, deactivate
+
+        geometries = [
+            MemoryGeometry(words, bits, f"mixed_{index}")
+            for index, (words, bits) in enumerate([(32, 8), (6, 4)] * 2)
+        ]
+
+        banks = {
+            backend: build_bank(geometries, 0.05, 90, (0.05, 0.4), 0.05)[0]
+            for backend in ("reference", "numpy", "batched", "batched-default")
+        }
+        reference = FastDiagnosisScheme(banks["reference"]).diagnose()
+        reports = {
+            backend: run_session(FastDiagnosisScheme(banks[backend]), backend=backend)
+            for backend in ("numpy", "batched")
+        }
+        tr = activate()
+        try:
+            reports["batched-default"] = run_default_plan(
+                monkeypatch, FastDiagnosisScheme(banks["batched-default"])
+            )
+        finally:
+            deactivate()
+        assert tr.counters.get("bucket.sessions") == 2
+        assert tr.counters.get("bucket.table_plans") == 1
+        for backend, fast in reports.items():
+            assert fast.failures == reference.failures, backend
+            assert fast.cycles == reference.cycles, backend
+            assert fast.time_ns == reference.time_ns, backend
+            assert_states_equal(banks["reference"], banks[backend])
 
 
 class TestAggregateParity:

@@ -77,10 +77,10 @@ class TestChaosFlag:
 class TestChaosRoundTrip:
     """Crash, exception and corruption recovery end to end through the CLI.
 
-    The CI ``chaos-smoke`` job runs this test.  Chaos seed 3 kills
-    workers and raises in others across the 12 chunks (the plan is a pure
-    function of the seed), all recovered through one retry each; the
-    store is then corrupted and a quarantine-mode resume heals it.
+    Chaos seed 3 kills workers and raises in others across the 12
+    chunks (the plan is a pure function of the seed), all recovered
+    through one retry each; the store is then corrupted and a
+    quarantine-mode resume heals it.
     """
 
     ROUND_TRIP = [
