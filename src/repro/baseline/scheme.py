@@ -13,6 +13,11 @@ Two execution modes:
   computed from the ground-truth fault list using the closed-form stream
   semantics (lowest failing address, extremal bit per direction).  This is
   exact for the iteration count and scales to the 512x100 case study.
+  Each memory's fault lists are sorted once per capture direction and
+  consumed from the front, so a session costs ``O(k log k)`` per memory.
+  The mode reads only the injector's lists and the bank's names and
+  dimensions -- never the memories' attached faults -- so it can run on
+  the very bank the proposed scheme diagnosed.
 * **bit-accurate** (``bit_accurate=True``): every serial cycle is actually
   shifted through the faulty memory and a fault-free twin; localization
   uses the first observed stream mismatch.  Used by the test suite to
@@ -119,6 +124,39 @@ def _primary_cell(fault: Fault) -> CellRef:
     return fault.victims[0]
 
 
+class _CaptureQueue:
+    """One memory's pending faults, ordered once per capture direction.
+
+    The right-shift capture takes the lowest ``(word, -bit)`` primary cell
+    and the left-shift capture the lowest ``(word, bit)``.  Both orders are
+    stable sorts of the injector's list, so among faults sharing a primary
+    cell the earlier one comes first -- the fault a ``min`` over the
+    remaining list would pick.  A fault taken in one order is skipped when
+    the other order reaches it.
+    """
+
+    __slots__ = ("name", "faults", "right", "left", "taken", "pending")
+
+    def __init__(self, name: str, faults: list[Fault]) -> None:
+        self.name = name
+        self.faults = faults
+        cells = [_primary_cell(fault) for fault in faults]
+        indices = range(len(faults))
+        self.right = iter(
+            sorted(indices, key=lambda i: (cells[i].word, -cells[i].bit))
+        )
+        self.left = iter(sorted(indices, key=lambda i: (cells[i].word, cells[i].bit)))
+        self.taken = [False] * len(faults)
+        self.pending = len(faults)
+
+    def take(self, order) -> Fault:
+        """The first pending fault of ``order``, now taken."""
+        index = next(i for i in order if not self.taken[i])
+        self.taken[index] = True
+        self.pending -= 1
+        return self.faults[index]
+
+
 class HuangJoneScheme:
     """Baseline parallel BISD over a bank of memories."""
 
@@ -193,16 +231,19 @@ class HuangJoneScheme:
         report: BaselineReport,
         max_iterations: int | None,
     ) -> None:
-        remaining: dict[str, list[Fault]] = {}
-        drf_pending: dict[str, list[Fault]] = {}
+        m1: list[_CaptureQueue] = []
+        drf: list[_CaptureQueue] = []
         for memory in self.bank:
             faults = injector.faults_for(memory.name)
-            remaining[memory.name] = [
-                f for f in faults if f.fault_class in M1_LOCALIZABLE_CLASSES
-            ]
+            m1.append(
+                _CaptureQueue(
+                    memory.name,
+                    [f for f in faults if f.fault_class in M1_LOCALIZABLE_CLASSES],
+                )
+            )
             retention = [f for f in faults if f.fault_class.is_retention]
             if report.include_drf:
-                drf_pending[memory.name] = retention
+                drf.append(_CaptureQueue(memory.name, retention))
             else:
                 report.missed.extend((memory.name, f) for f in retention)
             report.missed.extend(
@@ -212,45 +253,36 @@ class HuangJoneScheme:
                 and not f.fault_class.is_retention
             )
 
+        # Each iteration visits the M1 queues, then the DRF queues, in bank
+        # order; a drained queue is never visited again.
+        active = [queue for queue in m1 + drf if queue.pending]
         limit = max_iterations if max_iterations is not None else 10_000_000
-        while any(remaining.values()) or any(drf_pending.values()):
-            if report.iterations >= limit:
-                break
+        while active and report.iterations < limit:
             report.iterations += 1
-            for name, faults in remaining.items():
-                self._localize_pair(report, name, faults)
-            for name, faults in drf_pending.items():
-                self._localize_pair(report, name, faults)
+            for queue in active:
+                self._localize_pair(report, queue)
+            active = [queue for queue in active if queue.pending]
 
-    def _localize_pair(
-        self, report: BaselineReport, name: str, faults: list[Fault]
-    ) -> None:
+    def _localize_pair(self, report: BaselineReport, queue: _CaptureQueue) -> None:
         """Localize up to two faults: first-per-direction stream captures.
 
         The right-shift stream's first mismatch is at the lowest failing
         address and, within that word, the highest defective bit; the
         left-shift stream mirrors it.
         """
-        if not faults:
-            return
-        right = min(faults, key=lambda f: (_primary_cell(f).word, -_primary_cell(f).bit))
-        faults.remove(right)
-        report.localized.append(
-            LocalizedFault(
-                name, _primary_cell(right), report.iterations, "right",
-                right.fault_class.value,
+        for direction, order in (("right", queue.right), ("left", queue.left)):
+            if not queue.pending:
+                return
+            fault = queue.take(order)
+            report.localized.append(
+                LocalizedFault(
+                    queue.name,
+                    _primary_cell(fault),
+                    report.iterations,
+                    direction,
+                    fault.fault_class.value,
+                )
             )
-        )
-        if not faults:
-            return
-        left = min(faults, key=lambda f: (_primary_cell(f).word, _primary_cell(f).bit))
-        faults.remove(left)
-        report.localized.append(
-            LocalizedFault(
-                name, _primary_cell(left), report.iterations, "left",
-                left.fault_class.value,
-            )
-        )
 
     # ------------------------------------------------------------------ #
     # Bit-accurate mode                                                  #
@@ -368,8 +400,8 @@ class HuangJoneScheme:
     ) -> str:
         """Spare-replace ``cell``: detach every fault touching it."""
         matched = [f for f in pending if cell in f.victims or cell in f.aggressors]
+        memory.remove_cell_faults(matched)
         for fault in matched:
-            memory.remove_cell_fault(fault)
             pending.remove(fault)
         if matched:
             return matched[0].fault_class.value

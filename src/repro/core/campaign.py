@@ -138,10 +138,11 @@ class DiagnosisCampaign:
         The population is sampled once per campaign, on the first call,
         and kept pristine: every call materializes new SRAM instances and
         injects fresh clones of those faults (stateful fault models must
-        not be shared between sessions), so one campaign can drive
-        independent proposed/baseline banks -- or, for multi-session
-        scenario flows, hand the bank out for chained
-        diagnose/repair/retest stages.
+        not be shared between sessions).  A campaign builds one bank for
+        its proposed, repair and verification sessions -- or, for
+        multi-session scenario flows, its chained
+        diagnose/repair/retest stages -- and a second one only for a
+        bit-accurate baseline (see :meth:`baseline_inputs`).
         """
         bank = self.soc.build_bank()
         if self._pristine is None:
@@ -159,7 +160,18 @@ class DiagnosisCampaign:
         include_baseline: bool = True,
         repair: bool = True,
     ) -> CampaignReport:
-        """Execute the campaign and return the combined report."""
+        """Execute the campaign and return the combined report.
+
+        One bank serves every session: the effective baseline reads only
+        the injector's ground truth, so it shares it too.  Verification
+        is a go/no-go verdict (:func:`repro.engine.session.session_passes`):
+        the vector backends stop at the first bucket that fails, with the
+        verdict a full session would give.
+        """
+        # Imported lazily: repro.engine imports this module for the fleet
+        # scheduler, so a top-level import would be circular.
+        from repro.engine.session import session_passes
+
         bank, injector = self.faulty_bank()
         scheme = FastDiagnosisScheme(bank, period_ns=self.soc.period_ns)
         proposed = self.diagnose_proposed(scheme)
@@ -171,7 +183,7 @@ class DiagnosisCampaign:
         )
 
         if include_baseline:
-            baseline_bank, baseline_injector = self.faulty_bank()
+            baseline_bank, baseline_injector = self.baseline_inputs(bank, injector)
             report.baseline = self.diagnose_baseline(
                 HuangJoneScheme(baseline_bank, period_ns=self.soc.period_ns),
                 baseline_injector,
@@ -180,8 +192,23 @@ class DiagnosisCampaign:
         if repair:
             controller = RepairController(bank, self.spares_per_memory)
             report.repair = controller.apply(proposed)
-            report.verification_passed = self.diagnose_proposed(scheme).passed
+            report.verification_passed = session_passes(scheme, self.backend)
         return report
+
+    def baseline_inputs(
+        self, bank: "MemoryBank", injector: FaultInjector
+    ) -> tuple["MemoryBank", FaultInjector]:
+        """The bank and ground truth the baseline session runs on.
+
+        Effective mode only reads the injector's fault lists and the
+        bank's names and dimensions, so it shares the campaign's own bank
+        and injector.  Bit-accurate mode detaches
+        faults as it localizes them, so it gets a twin from
+        :meth:`faulty_bank`.
+        """
+        if self.baseline_bit_accurate:
+            return self.faulty_bank()
+        return bank, injector
 
     def diagnose_proposed(self, scheme: FastDiagnosisScheme) -> ProposedReport:
         """Run one session through the configured backend.
@@ -193,8 +220,6 @@ class DiagnosisCampaign:
         """
         if self.backend == "reference":
             return scheme.diagnose()
-        # Imported lazily: repro.engine imports this module for the fleet
-        # scheduler, so a top-level import would be circular.
         from repro.engine.session import run_session
 
         return run_session(scheme, backend=self.backend)

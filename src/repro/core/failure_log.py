@@ -135,15 +135,28 @@ class FailureLog(Sequence):
         return self._records
 
     def _plane_cell_ids(self) -> list[int]:
-        # Explode the syndrome planes into one flag per bit position:
-        # little-endian bytes of each lane, little bit order within a byte.
-        syndrome = (self.expected ^ self.observed).astype("<u8", copy=False)
-        rows = syndrome.shape[0]
+        # OR the syndromes of each distinct address, then explode the
+        # merged planes into one flag per bit position: little-endian
+        # bytes of each lane, little bit order within a byte.  Addresses
+        # come out ascending, bits ascending within each, and no syndrome
+        # bit reaches ``bits``, so the ids are already sorted and unique.
+        if not self.address.size:
+            return []
+        order = np.argsort(self.address)
+        address = self.address[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], address[1:] != address[:-1]))
+        )
+        syndrome = np.bitwise_or.reduceat(
+            (self.expected ^ self.observed)[order], starts, axis=0
+        ).astype("<u8", copy=False)
         flags = np.unpackbits(
-            syndrome.view(np.uint8).reshape(rows, -1), axis=1, bitorder="little"
+            syndrome.view(np.uint8).reshape(starts.size, -1),
+            axis=1,
+            bitorder="little",
         )
         hit_rows, bit = np.nonzero(flags)
-        return sorted(set((self.address[hit_rows] * self.bits + bit).tolist()))
+        return (address[starts][hit_rows] * self.bits + bit).tolist()
 
     def _materialize(self) -> list[FailureRecord]:
         name = self.memory_name

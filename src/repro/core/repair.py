@@ -83,13 +83,14 @@ class RepairController:
         # Repairing only an aggressor word is treated conservatively: the
         # remap may break just that coupling edge, but the victim cell
         # stays in the array, so the fault stays attached.
-        detached = 0
-        for fault in list(memory.cell_faults):
-            victim_words = {cell.word for cell in fault.victims}
-            if victim_words and victim_words <= repaired_words:
-                memory.remove_cell_fault(fault)
-                detached += 1
-        return detached
+        detached = [
+            fault
+            for fault in memory.cell_faults
+            if fault.victims
+            and {cell.word for cell in fault.victims} <= repaired_words
+        ]
+        memory.remove_cell_faults(detached)
+        return len(detached)
 
     def spare_usage(self) -> dict[str, tuple[int, int]]:
         """Per-memory (used, total) spare counts."""
@@ -198,13 +199,14 @@ class BisrController:
         # granularity: a fault leaves the access path only when every
         # victim cell sits in a replaced row or column.
         name = memory.name
-        detached = 0
-        for fault in list(memory.cell_faults):
-            victims = fault.victims
-            if victims and all(self.covered(name, cell) for cell in victims):
-                memory.remove_cell_fault(fault)
-                detached += 1
-        return detached
+        detached = [
+            fault
+            for fault in memory.cell_faults
+            if fault.victims
+            and all(self.covered(name, cell) for cell in fault.victims)
+        ]
+        memory.remove_cell_faults(detached)
+        return len(detached)
 
     def repair_yield(self) -> float | None:
         """Fraction of repair-needing memories whose cells are all covered.

@@ -178,9 +178,27 @@ def run_batched_session(
     algorithm, report, deliveries, nwrc_ops = begin_session(scheme)
     reads_per_word = algorithm.reads_per_word()
     buckets, fallback = plan_session_buckets(scheme.bank, stacked=batched)
+    for logs in session_logs(scheme, algorithm, buckets, fallback, batched):
+        for failures in logs:
+            report.failures[failures.memory_name] = failures
+    for memory in scheme.bank:
+        finalize_memory_counters(
+            scheme, memory, report.failures[memory.name], reads_per_word
+        )
+    return finish_session(scheme, report, deliveries, nwrc_ops)
+
+
+def session_logs(scheme, algorithm, buckets, fallback, batched):
+    """Run a planned session lazily: one list of failure logs per bucket.
+
+    Geometry buckets come first, in plan order, then every fallback
+    memory as a bucket of its own.  :func:`run_batched_session` drains
+    it; :func:`repro.engine.session.session_passes` stops at the first
+    bucket that fails, leaving the rest of the bank unswept.
+    """
     for bucket in buckets:
         memories = [scheme.bank[index] for index in bucket.indices]
-        logs = run_stack(
+        yield run_stack(
             memories,
             session_step_plans(scheme, memories[0], algorithm),
             scheme.controller_words,
@@ -188,18 +206,8 @@ def run_batched_session(
             _bucket_lanes if batched else None,
             _table_evaluator,
         )
-        for memory, failures in zip(memories, logs):
-            report.failures[memory.name] = failures
     for index in fallback:
-        memory = scheme.bank[index]
-        report.failures[memory.name] = _run_memory_session(
-            scheme, memory, algorithm
-        )
-    for memory in scheme.bank:
-        finalize_memory_counters(
-            scheme, memory, report.failures[memory.name], reads_per_word
-        )
-    return finish_session(scheme, report, deliveries, nwrc_ops)
+        yield [_run_memory_session(scheme, scheme.bank[index], algorithm)]
 
 
 def _bucket_lanes(memories, hooked_masks) -> BucketLanes | None:

@@ -24,6 +24,9 @@ tracing) take a per-memory pure-Python path that mirrors the reference
 loop exactly, and whole-session features the fast path does not model
 (``bit_accurate``, ``early_abort``, protocol monitors, missing numpy)
 delegate to ``scheme.diagnose`` itself.
+
+:func:`session_passes` is the go/no-go form of a session, for repair
+verification: the same plan, run bucket by bucket until one fails.
 """
 
 from __future__ import annotations
@@ -68,6 +71,70 @@ def run_session(
     :meth:`~repro.engine.backends.MarchBackend.run` for raw march runs.
     """
     resolved = resolve_backend(backend)
+    if _runs_vectorized(scheme, resolved, bit_accurate, early_abort):
+        # Imported lazily: batched builds on this module's helpers.
+        from repro.engine.batched import BatchedBackend, run_batched_session
+
+        return run_batched_session(scheme, isinstance(resolved, BatchedBackend))
+    return scheme.diagnose(bit_accurate=bit_accurate, early_abort=early_abort)
+
+
+def session_passes(
+    scheme: FastDiagnosisScheme, backend: str | MarchBackend | None = "auto"
+) -> bool:
+    """Go/no-go verdict of one session: ``run_session(...).passed``, sooner.
+
+    On the vector paths the session runs bucket by bucket in
+    :func:`run_session`'s order and stops at the first bucket, or
+    fallback memory, whose (ECC-decoded) failure log is not empty.
+    Memories never interact, so that bucket fails in the full session
+    too and the verdict is exact.  Only the verdict is: the buckets after
+    it stay unswept, and the scheme's session counters are not folded.
+    Every other case, the reference backend included, runs
+    ``scheme.diagnose()``.  The check is one ``session.verify`` span,
+    with ``verify.buckets_run`` and ``verify.buckets_skipped`` counted
+    under telemetry.
+    """
+    resolved = resolve_backend(backend)
+    tr = _tracer()
+    with tr.span("session.verify", "session"):
+        if not _runs_vectorized(scheme, resolved):
+            return scheme.diagnose().passed
+        from repro.engine.batched import (
+            BatchedBackend,
+            plan_session_buckets,
+            session_logs,
+        )
+
+        batched = isinstance(resolved, BatchedBackend)
+        algorithm = begin_session(scheme)[0]
+        buckets, fallback = plan_session_buckets(scheme.bank, stacked=batched)
+        passed = True
+        ran = 0
+        for logs in session_logs(scheme, algorithm, buckets, fallback, batched):
+            ran += 1
+            if any(logs):
+                passed = False
+                break
+        if tr.enabled:
+            tr.counters.add("verify.buckets_run", ran)
+            tr.counters.add(
+                "verify.buckets_skipped", len(buckets) + len(fallback) - ran
+            )
+        return passed
+
+
+def _runs_vectorized(
+    scheme: FastDiagnosisScheme,
+    resolved: MarchBackend,
+    bit_accurate: bool = False,
+    early_abort: bool = False,
+) -> bool:
+    """Whether a session takes the vector stack runner.
+
+    Otherwise it runs through ``scheme.diagnose``, which session
+    execution allows only for the reference and numpy backend types.
+    """
     fast = (
         isinstance(resolved, NumpyBackend)
         and HAVE_NUMPY
@@ -78,17 +145,13 @@ def run_session(
         # NWRC op; delegating keeps that behaviour (error included) exact.
         and scheme.control.drf_screening
     )
-    if fast:
-        # Imported lazily: batched builds on this module's helpers.
-        from repro.engine.batched import BatchedBackend, run_batched_session
-
-        return run_batched_session(scheme, isinstance(resolved, BatchedBackend))
-    require(
-        isinstance(resolved, (NumpyBackend, ReferenceBackend)),
-        f"run_session supports the 'reference', 'numpy' and 'batched' "
-        f"backends, got {type(resolved).__name__}",
-    )
-    return scheme.diagnose(bit_accurate=bit_accurate, early_abort=early_abort)
+    if not fast:
+        require(
+            isinstance(resolved, (NumpyBackend, ReferenceBackend)),
+            f"run_session supports the 'reference', 'numpy' and 'batched' "
+            f"backends, got {type(resolved).__name__}",
+        )
+    return fast
 
 
 def begin_session(scheme: FastDiagnosisScheme):

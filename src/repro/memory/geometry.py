@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from repro.util.records import Record
-from repro.util.validation import require, require_positive
+from repro.util.validation import require_positive
 
 
 @dataclass(frozen=True, order=True)
@@ -23,8 +23,12 @@ class CellRef:
     bit: int
 
     def __post_init__(self) -> None:
-        require(self.word >= 0, f"word must be non-negative, got {self.word}")
-        require(self.bit >= 0, f"bit must be non-negative, got {self.bit}")
+        # Messages are formatted only on failure: cells are built in bulk
+        # while populations are sampled and injected.
+        if not self.word >= 0:
+            raise ValueError(f"word must be non-negative, got {self.word}")
+        if not self.bit >= 0:
+            raise ValueError(f"bit must be non-negative, got {self.bit}")
 
     def __str__(self) -> str:
         return f"[w{self.word}.b{self.bit}]"
@@ -69,22 +73,23 @@ class MemoryGeometry(Record):
 
     def cell_at(self, index: int) -> CellRef:
         """Inverse of :meth:`cell_index`."""
-        require(0 <= index < self.cells, f"cell index {index} out of range")
+        if not 0 <= index < self.cells:
+            raise ValueError(f"cell index {index} out of range")
         return CellRef(index // self.bits, index % self.bits)
 
     def check_address(self, address: int) -> None:
         """Raise if ``address`` is outside this memory."""
-        require(
-            0 <= address < self.words,
-            f"{self.name}: address {address} out of range [0, {self.words})",
-        )
+        if not 0 <= address < self.words:
+            raise ValueError(
+                f"{self.name}: address {address} out of range [0, {self.words})"
+            )
 
     def check_cell(self, cell: CellRef) -> None:
         """Raise if ``cell`` is outside this memory."""
-        require(
-            cell.word < self.words and cell.bit < self.bits,
-            f"{self.name}: cell {cell} outside {self.words}x{self.bits}",
-        )
+        if not (cell.word < self.words and cell.bit < self.bits):
+            raise ValueError(
+                f"{self.name}: cell {cell} outside {self.words}x{self.bits}"
+            )
 
     def all_cells(self):
         """Iterate every cell in word-major order."""

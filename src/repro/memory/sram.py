@@ -31,6 +31,30 @@ from repro.util.bitops import mask
 from repro.util.validation import require
 
 
+def _unindex(
+    faults_by_cell: dict[tuple[int, int], list[Any]],
+    bits_by_word: dict[int, set[int]],
+    key: tuple[int, int],
+    doomed: set[int],
+) -> bool:
+    """Drop the faults whose ids are ``doomed`` from one cell's entry.
+
+    The cell leaves both indexes once no fault is left on it; returns
+    whether it did.
+    """
+    remaining = [f for f in faults_by_cell[key] if id(f) not in doomed]
+    if remaining:
+        faults_by_cell[key] = remaining
+        return False
+    del faults_by_cell[key]
+    word, bit = key
+    bits = bits_by_word[word]
+    bits.discard(bit)
+    if not bits:
+        del bits_by_word[word]
+    return True
+
+
 class SRAM:
     """One embedded SRAM under diagnosis.
 
@@ -147,44 +171,56 @@ class SRAM:
         spare before the next diagnosis iteration; removing the fault from
         the access path is the behavioural equivalent.
         """
-        if fault not in self._cell_faults:
+        self.remove_cell_faults((fault,))
+
+    def remove_cell_faults(self, faults: Iterable[Any]) -> None:
+        """Detach several cell-level faults in one pass.
+
+        Faults are matched by identity and unknown ones are ignored.  The
+        fault list is rebuilt once, and only the index entries of the
+        removed faults' cells are touched; :attr:`cell_faults` and every
+        per-cell hook list keep the attachment order of what stays.
+        """
+        doomed = {id(fault) for fault in faults}
+        kept: list[Any] = []
+        removed: list[Any] = []
+        for fault in self._cell_faults:
+            (removed if id(fault) in doomed else kept).append(fault)
+        if not removed:
             return
-        self._cell_faults.remove(fault)
-        for cell in getattr(fault, "victims", ()):
-            key = (cell.word, cell.bit)
-            if key in self._victim_faults:
-                self._victim_faults[key] = [
-                    f for f in self._victim_faults[key] if f is not fault
-                ]
+        self._cell_faults = kept
+        for fault in removed:
+            for cell in getattr(fault, "victims", ()):
+                key = (cell.word, cell.bit)
+                if key not in self._victim_faults:
+                    continue  # already cleaned for an earlier removed fault
+                emptied = _unindex(
+                    self._victim_faults, self._faulty_bits_by_word, key, doomed
+                )
                 for hooks in (self._read_hooks, self._write_hooks, self._nwrc_hooks):
-                    if key in hooks:
-                        hooks[key] = [
+                    if emptied:
+                        # Hooks are registered only for the cell's own
+                        # faults, so none outlives them.
+                        hooks.pop(key, None)
+                    elif key in hooks:
+                        handlers = [
                             h
                             for h in hooks[key]
-                            if getattr(h, "__self__", None) is not fault
+                            if id(getattr(h, "__self__", None)) not in doomed
                         ]
-                        if not hooks[key]:
+                        if handlers:
+                            hooks[key] = handlers
+                        else:
                             del hooks[key]
-                if not self._victim_faults[key]:
-                    del self._victim_faults[key]
-                    bits = self._faulty_bits_by_word.get(cell.word)
-                    if bits is not None:
-                        bits.discard(cell.bit)
-                        if not bits:
-                            del self._faulty_bits_by_word[cell.word]
-        for cell in getattr(fault, "aggressors", ()):
-            key = (cell.word, cell.bit)
-            if key in self._aggressor_faults:
-                self._aggressor_faults[key] = [
-                    f for f in self._aggressor_faults[key] if f is not fault
-                ]
-                if not self._aggressor_faults[key]:
-                    del self._aggressor_faults[key]
-                    bits = self._watched_bits_by_word.get(cell.word)
-                    if bits is not None:
-                        bits.discard(cell.bit)
-                        if not bits:
-                            del self._watched_bits_by_word[cell.word]
+            for cell in getattr(fault, "aggressors", ()):
+                key = (cell.word, cell.bit)
+                if key in self._aggressor_faults:
+                    _unindex(
+                        self._aggressor_faults,
+                        self._watched_bits_by_word,
+                        key,
+                        doomed,
+                    )
 
     def clear_faults(self) -> None:
         """Detach all faults (cell, decoder and column faults)."""

@@ -4,8 +4,10 @@ One scenario *campaign* is a chained sequence of diagnosis sessions on a
 single SoC build, mirroring a production test flow:
 
 1. **test** -- the proposed-scheme diagnosis session on the clustered
-   fault population (plus the baseline session on an identical twin bank,
-   so the measured reduction factor R is reported under clustering);
+   fault population (plus the baseline session, so the measured
+   reduction factor R is reported under clustering; only a bit-accurate
+   baseline gets an identical twin bank, see
+   :meth:`~repro.core.campaign.DiagnosisCampaign.baseline_inputs`);
 2. **repair** -- word-spare allocation from the latest session's failures;
 3. **retest** -- re-diagnosis; repair/retest rounds repeat until the bank
    comes back clean or ``max_retest_rounds`` is exhausted (*retest
@@ -279,7 +281,7 @@ def run_scenario_campaign(
         report.ecc_masked_reads += session.ecc_masked_reads
         report.ecc_uncorrectable_reads += session.ecc_uncorrectable_reads
 
-    # Stage 1: initial test (+ the baseline twin for measured R).
+    # Stage 1: initial test (+ the baseline session for measured R).
     proposed = campaign.diagnose_proposed(scheme)
     report.proposed = proposed
     fold_ecc(proposed)
@@ -293,7 +295,7 @@ def run_scenario_campaign(
         for memory in bank
     }
     if spec.include_baseline:
-        baseline_bank, baseline_injector = campaign.faulty_bank()
+        baseline_bank, baseline_injector = campaign.baseline_inputs(bank, injector)
         report.baseline = campaign.diagnose_baseline(
             HuangJoneScheme(baseline_bank, period_ns=spec.period_ns),
             baseline_injector,

@@ -280,6 +280,77 @@ class TestSessionLogsMatchReference:
             assert report.ecc == reference.ecc
 
 
+def expanded_cell_ids(log: FailureLog) -> list[int]:
+    """Cell ids by exploding every row's syndrome, one flag per bit."""
+    if not log.address.size:
+        return []
+    syndrome = (log.expected ^ log.observed).astype("<u8", copy=False)
+    flags = np.unpackbits(
+        syndrome.view(np.uint8).reshape(syndrome.shape[0], -1),
+        axis=1,
+        bitorder="little",
+    )
+    rows, bit = np.nonzero(flags)
+    return sorted(set((log.address[rows] * log.bits + bit).tolist()))
+
+
+@st.composite
+def plane_logs(draw):
+    """A plane-backed log: repeated addresses, one or two lanes, or none."""
+    bits = draw(st.sampled_from([3, 8, 64, TWO_LANE_BITS]))
+    words = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.integers(min_value=0, max_value=24))
+    word = st.integers(min_value=0, max_value=(1 << bits) - 1)
+    expected = draw(st.lists(word, min_size=rows, max_size=rows))
+    flips = draw(st.lists(word, min_size=rows, max_size=rows))
+    address = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=words - 1),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    lanes = (bits + 63) // 64
+    return FailureLog(
+        "m",
+        bits,
+        (),
+        np.zeros(rows, dtype=np.int64),
+        np.zeros(rows, dtype=np.int64),
+        np.array(address, dtype=np.int64),
+        pack_state(expected, lanes),
+        pack_state([e ^ f for e, f in zip(expected, flips)], lanes),
+    )
+
+
+class TestPlaneCellIds:
+    @settings(max_examples=200, deadline=None)
+    @given(log=plane_logs())
+    def test_per_address_or_equals_per_row_expansion(self, log):
+        assert log.cell_ids() == expanded_cell_ids(log)
+
+    def test_repeated_address_on_two_lanes(self):
+        expected = [0, 1 << 70, 0]
+        observed = [1 << 3, (1 << 70) | (1 << 99) | 1, 1 << 64]
+        log = FailureLog(
+            "m",
+            TWO_LANE_BITS,
+            (),
+            np.zeros(3, dtype=np.int64),
+            np.zeros(3, dtype=np.int64),
+            np.array([2, 0, 2], dtype=np.int64),
+            pack_state(expected, 2),
+            pack_state(observed, 2),
+        )
+        assert log.cell_ids() == [0, 99, 203, 264]
+
+    def test_empty_plane_log(self):
+        empty = np.zeros(0, dtype=np.int64)
+        planes = np.zeros((0, 1), dtype=np.uint64)
+        log = FailureLog("m", 8, (), empty, empty, empty, planes, planes)
+        assert log.cell_ids() == []
+
+
 class TestFailureLogBasics:
     def test_empty_log_allocates_no_arrays(self):
         (log,) = SessionHits(2).logs(["m"], TWO_LANE_BITS, [])

@@ -57,6 +57,43 @@ class TestMemoryGeometry:
             MemoryGeometry(4, 0)
 
 
+class TestValidationMessages:
+    """Every check still fires, with its message text unchanged."""
+
+    @pytest.mark.parametrize(
+        "word, bit, message",
+        [
+            (-1, 0, "word must be non-negative, got -1"),
+            (0, -2, "bit must be non-negative, got -2"),
+        ],
+    )
+    def test_cell_ref(self, word, bit, message):
+        with pytest.raises(ValueError) as excinfo:
+            CellRef(word, bit)
+        assert str(excinfo.value) == message
+
+    def test_check_cell(self):
+        geometry = MemoryGeometry(4, 3, "buf")
+        geometry.check_cell(CellRef(3, 2))
+        with pytest.raises(ValueError) as excinfo:
+            geometry.check_cell(CellRef(4, 0))
+        assert str(excinfo.value) == "buf: cell [w4.b0] outside 4x3"
+
+    @pytest.mark.parametrize("address", [-1, 4])
+    def test_check_address(self, address):
+        with pytest.raises(ValueError) as excinfo:
+            MemoryGeometry(4, 3, "buf").check_address(address)
+        assert str(excinfo.value) == (
+            f"buf: address {address} out of range [0, 4)"
+        )
+
+    @pytest.mark.parametrize("index", [-1, 12])
+    def test_cell_at(self, index):
+        with pytest.raises(ValueError) as excinfo:
+            MemoryGeometry(4, 3).cell_at(index)
+        assert str(excinfo.value) == f"cell index {index} out of range"
+
+
 class TestNeighbors:
     def test_interior_cell_has_four(self):
         geometry = MemoryGeometry(4, 4)

@@ -112,6 +112,56 @@ class TestFaultAttachment:
         small_memory.write(1, 1)  # aggressor rises; victim must not flip
         assert small_memory.stored_bit(2, 0) == 0
 
+    def test_batch_removal_keeps_attachment_order(self, small_memory):
+        stuck = [StuckAtFault(CellRef(4, 1), value) for value in (1, 0, 1)]
+        coupling = [
+            InversionCouplingFault(CellRef(2, 0), CellRef(3, 0)),
+            InversionCouplingFault(CellRef(2, 0), CellRef(4, 1)),
+        ]
+        faults = [stuck[0], coupling[0], stuck[1], coupling[1], stuck[2]]
+        for fault in faults:
+            fault.attach(small_memory)
+        small_memory.remove_cell_faults([stuck[1], coupling[0]])
+        kept = [stuck[0], coupling[1], stuck[2]]
+        assert small_memory.cell_faults == kept
+        assert small_memory._victim_faults[(4, 1)] == kept
+        assert small_memory._aggressor_faults == {(2, 0): [coupling[1]]}
+        assert (3, 0) not in small_memory._victim_faults
+        for hooks, name in (
+            (small_memory._read_hooks, "on_read"),
+            (small_memory._write_hooks, "on_write"),
+            (small_memory._nwrc_hooks, "on_nwrc_write"),
+        ):
+            assert hooks[(4, 1)] == [getattr(fault, name) for fault in kept]
+            assert (3, 0) not in hooks
+
+    def test_batch_removal_leaves_only_the_kept_attachments(self, small_memory):
+        faults = [
+            StuckAtFault(CellRef(1, 1), 1),
+            InversionCouplingFault(CellRef(5, 2), CellRef(6, 2)),
+            StuckAtFault(CellRef(1, 1), 0),
+            StuckAtFault(CellRef(7, 3), 1),
+        ]
+        for fault in faults:
+            fault.attach(small_memory)
+        doomed = [faults[3], faults[1], faults[2], StuckAtFault(CellRef(0, 0), 1)]
+        small_memory.remove_cell_faults(doomed)
+        # The same memory as if only the kept fault had ever been attached.
+        twin = SRAM(small_memory.geometry)
+        faults[0].attach(twin)
+        for attribute in (
+            "_cell_faults",
+            "_victim_faults",
+            "_aggressor_faults",
+            "_faulty_bits_by_word",
+            "_watched_bits_by_word",
+            "_read_hooks",
+            "_write_hooks",
+            "_nwrc_hooks",
+        ):
+            assert getattr(small_memory, attribute) == getattr(twin, attribute)
+        assert small_memory.hooked_words() == {1}
+
     def test_clear_faults(self, small_memory):
         StuckAtFault(CellRef(4, 1), 1).attach(small_memory)
         small_memory.decoder.break_address(2)

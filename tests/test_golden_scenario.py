@@ -182,6 +182,30 @@ class TestScenarioCli:
             payloads.append(payload)
         assert payloads[0] == payloads[1]
 
+    def test_two_flows_agree_across_backends(self, capsys):
+        """Two buffer-cluster flows at the preset defect rates, burn-in on:
+        the reference and numpy runs report the same content."""
+        args = [
+            "scenario",
+            "--soc", "buffer-cluster",
+            "--campaigns", "2",
+            "--workers", "1",
+            "--intermittent-rate", "0.002",
+            "--upset-probability", "0.3",
+            "--json",
+        ]
+        payloads = []
+        for backend in ("reference", "numpy"):
+            assert main([*args, "--backend", backend]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("elapsed_s")
+            payload.pop("campaigns_per_sec")
+            payload.pop("plan_cache")  # run metadata, like the wall clock
+            payload["spec"].pop("backend")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1], "scenario backends diverged"
+        assert payloads[1]["scenario"]["campaigns"] == 2
+
     def test_text_mode_prints_scenario_lines(self, capsys):
         assert main([*self.ARGS]) == 0
         out = capsys.readouterr().out
