@@ -1,25 +1,31 @@
 """Compiled fault tables: vectorized evaluation of deterministic cell faults.
 
 The behavioural replay lane (:func:`repro.engine.kernel.replay_dirty_positions`)
-is exact for *every* fault class but costs one Python dispatch per access --
-which makes dense-defect diagnostic campaigns replay-bound: the batched
-tier's fleet-wide block ops win ~4x in sparse screening and decay toward 1x
-as the defect rate grows.  This module removes that tail for the
-*deterministic* majority of the fault library.
+is exact for *every* fault class but costs one Python dispatch per hooked
+access.  This module evaluates the *deterministic* majority of the fault
+library as array operations instead: a geometry bucket's lowerable faults
+compile into per-row bit planes and per-entry columns, and each march
+element is evaluated over all of the bucket's table rows at once, a few
+vector ops per operation.  The batched plan compiles a table only for
+buckets with enough fault-hooked rows to amortize those ops
+(:data:`repro.engine.batched.TABLE_MIN_HOOKED_ROWS`).
 
 At session-plan time each memory's cell faults are partitioned by the
 lowering protocol (:meth:`repro.faults.base.Fault.vector_lowerable` /
 :meth:`~repro.faults.base.Fault.lower`):
 
-* **Lowerable faults** (stuck-at, transition, incorrect/destructive/
-  deceptive reads, write disturbs, NWRC-weak cells, inter-word coupling)
-  compile into structured numpy columns -- per-fault ``(row, lane,
-  bitmask, kind, aux-cell, parameters)`` -- grouped into per-row mask
-  planes and per-entry coupling groups.  A whole march element is then
-  evaluated over *all* fault-hooked rows of a geometry bucket (stacked
-  ``(n_mem, words, lanes)`` state) as a handful of select/mask vector ops
-  per operation, inside the same wrap-around block decomposition the
-  clean-row path uses.
+* **Static faults** (:class:`~repro.faults.base.StaticCellFault`:
+  stuck-at, transition, incorrect/destructive/deceptive reads, write
+  disturbs, NWRC-weak cells) lower to flip masks tabulated from their own
+  hooks and compile into composed planes: per write kind (normal, NWRC)
+  one table of stored bits indexed by (written, old) bit, and ``(keep,
+  set)`` pairs for a read's observed and after-read bits.  Every access
+  applies one plane pair, ``(old & keep) | (~old & set)``, over *all*
+  table rows of a geometry bucket (stacked ``(n_mem, words, lanes)``
+  state), inside the same wrap-around block decomposition the clean-row
+  path uses.
+* **Inter-word coupling** keeps per-entry columns (the aux aggressor cell
+  breaks the one-mask-per-row shape).
 * **Stateful-but-analytic faults** also lower: intermittent/soft-error
   upsets key their Bernoulli decisions on a *counter-based* hash (draw
   ``k`` of fault ``f`` is a pure function of ``(f.seed, k)``,
@@ -68,16 +74,10 @@ from repro.faults.base import (
     KIND_CF_ID,
     KIND_CF_IN,
     KIND_CF_ST,
-    KIND_DRDF,
     KIND_DRF,
     KIND_INT_READ,
-    KIND_IRF,
-    KIND_RDF,
     KIND_SEU,
-    KIND_STUCK,
-    KIND_TF,
-    KIND_WDF,
-    KIND_WEAK,
+    KIND_STATIC,
     LoweredFault,
 )
 
@@ -230,42 +230,47 @@ def lower_bucket(memories: "list[SRAM]") -> BucketLanes:
     return BucketLanes(replay, table_rows, ~(replay | table_rows), table)
 
 
-class _CouplingGroup:
-    """Structure-of-arrays for one coupling kind's lowered entries.
+#: The lowered-fault kinds a compiled table evaluates.
+_TABLE_KINDS = (
+    KIND_STATIC, KIND_CF_IN, KIND_CF_ID, KIND_CF_ST, KIND_INT_READ, KIND_SEU, KIND_DRF
+)
 
-    ``vic_flat``/``agg_flat`` index the bucket state flattened to
-    ``(n_mem * words, lanes)`` -- one gather/scatter index instead of a
-    (member, word) pair.
+
+def _cell_columns(members, cells, words: int):
+    """Flat row, word, lane and bitmask columns of parallel member/cell lists.
+
+    The flat row indexes the bucket state flattened to ``(n_mem * words,
+    lanes)`` -- one gather/scatter index instead of a (member, word) pair.
+    """
+    word = np.array([cell.word for cell in cells], dtype=np.int64)
+    bit = np.array([cell.bit for cell in cells], dtype=np.int64)
+    mask = np.uint64(1) << (bit % 64).astype(np.uint64)
+    return members * words + word, word, bit // 64, mask
+
+
+class _Group:
+    """Structure-of-arrays over one kind's lowered entries: the victims.
+
+    ``vic_row`` (the victim's table row) is filled in by
+    :class:`CompiledFaultTable` once every group's rows are known.
     """
 
-    def __init__(self, entries, row_index, lanes_of, words):
+    def __init__(self, entries, words: int) -> None:
         self.size = len(entries)
-        if not self.size:
-            return
-        self.vic_row = np.array(
-            [row_index[(m, s.victim.word)] for m, s in entries], dtype=np.int64
+        self.member = np.array([member for member, _ in entries], dtype=np.int64)
+        self.vic_flat, self.vic_word, self.vic_lane, self.vic_mask = _cell_columns(
+            self.member, [spec.victim for _, spec in entries], words
         )
-        self.vic_flat = np.array(
-            [m * words + s.victim.word for m, s in entries], dtype=np.int64
-        )
-        self.vic_word = np.array([s.victim.word for _, s in entries], dtype=np.int64)
-        self.vic_lane = np.array(
-            [lanes_of(s.victim.bit)[0] for _, s in entries], dtype=np.int64
-        )
-        self.vic_mask = np.array(
-            [lanes_of(s.victim.bit)[1] for _, s in entries], dtype=np.uint64
-        )
-        self.agg_flat = np.array(
-            [m * words + s.aggressor.word for m, s in entries], dtype=np.int64
-        )
-        self.agg_word = np.array(
-            [s.aggressor.word for _, s in entries], dtype=np.int64
-        )
-        self.agg_lane = np.array(
-            [lanes_of(s.aggressor.bit)[0] for _, s in entries], dtype=np.int64
-        )
-        self.agg_mask = np.array(
-            [lanes_of(s.aggressor.bit)[1] for _, s in entries], dtype=np.uint64
+        self.vic_row = None
+
+
+class _CouplingGroup(_Group):
+    """One coupling kind's entries: victim and aggressor cells, triggers."""
+
+    def __init__(self, entries, words: int) -> None:
+        super().__init__(entries, words)
+        self.agg_flat, self.agg_word, self.agg_lane, self.agg_mask = _cell_columns(
+            self.member, [spec.aggressor for _, spec in entries], words
         )
         self.rising = np.array([s.rising for _, s in entries], dtype=bool)
         self.forced = np.array([s.value == 1 for _, s in entries], dtype=bool)
@@ -277,8 +282,8 @@ class _CouplingGroup:
         )
 
 
-class _StatelessGroup:
-    """Structure-of-arrays for one stateful-but-analytic fault kind.
+class _StatelessGroup(_Group):
+    """One stateful-but-analytic fault kind's entries.
 
     Beyond the victim coordinates this carries the analytic state the
     evaluator advances in place -- Bernoulli draw counters for the
@@ -288,24 +293,8 @@ class _StatelessGroup:
     state back after the session.
     """
 
-    def __init__(self, entries, row_index, lanes_of, words):
-        self.size = len(entries)
-        if not self.size:
-            return
-        self.vic_row = np.array(
-            [row_index[(m, s.victim.word)] for m, s in entries], dtype=np.int64
-        )
-        self.vic_flat = np.array(
-            [m * words + s.victim.word for m, s in entries], dtype=np.int64
-        )
-        self.vic_word = np.array([s.victim.word for _, s in entries], dtype=np.int64)
-        self.vic_lane = np.array(
-            [lanes_of(s.victim.bit)[0] for _, s in entries], dtype=np.int64
-        )
-        self.vic_mask = np.array(
-            [lanes_of(s.victim.bit)[1] for _, s in entries], dtype=np.uint64
-        )
-        self.member = np.array([m for m, _ in entries], dtype=np.int64)
+    def __init__(self, entries, words: int) -> None:
+        super().__init__(entries, words)
         self.seed = np.array([s.seed for _, s in entries], dtype=np.uint64)
         self.probability = np.array(
             [s.probability for _, s in entries], dtype=np.float64
@@ -327,12 +316,31 @@ class _StatelessGroup:
         self.sources = [s.source for _, s in entries]
 
 
+def _or_flips(planes, codes, group: _Group) -> None:
+    """OR each entry's victim mask into the planes its flip code selects.
+
+    Bit ``slot`` of an entry's code selects ``planes[slot]``.
+    """
+    for slot, plane in enumerate(planes):
+        sel = ((codes >> slot) & 1) == 1
+        np.bitwise_or.at(
+            plane, (group.vic_row[sel], group.vic_lane[sel]), group.vic_mask[sel]
+        )
+
+
 @dataclass
 class _BlockContext:
-    """Per-block scratch: row subset, positions and coupling schedules."""
+    """Per-block scratch: row subset, positions and coupling schedules.
+
+    ``rows`` are the block's table rows in the flat state; ``sub`` selects
+    them from the table's planes (``None`` on full blocks, which visit
+    every row and use the planes as they are).
+    """
 
     idx: "np.ndarray"
     positions: "np.ndarray"
+    rows: "np.ndarray"
+    sub: "np.ndarray | None"
     cf_in_deferred: "np.ndarray | None" = None
     cf_id_deferred: "np.ndarray | None" = None
     cfst_active: "np.ndarray | None" = None
@@ -349,128 +357,87 @@ class CompiledFaultTable:
     """Per-bucket structured arrays for the lowerable fault population.
 
     Rows (distinct ``(member, word)`` pairs carrying at least one lowered
-    victim fault) index per-row uint64 mask planes -- one plane per
-    behaviour family -- while the coupling kinds keep per-entry columns
-    (the aux aggressor cell breaks the one-mask-per-row shape).
+    victim fault) index the static faults' composed uint64 planes, while
+    the coupling and stateful kinds keep per-entry columns.
     """
 
     def __init__(self, lowered_by_member, words: int, bits: int) -> None:
         self.words = words
         self.lanes = lanes_for(bits)
 
-        def lanes_of(bit: int) -> tuple[int, int]:
-            return bit // 64, 1 << (bit % 64)
-
-        row_keys = sorted(
-            {
-                (member, spec.victim.word)
-                for member, lowered in enumerate(lowered_by_member)
-                for spec in lowered
-            }
-        )
-        self.n_rows = len(row_keys)
-        row_index = {key: i for i, key in enumerate(row_keys)}
-        self.rows_member = np.array([m for m, _ in row_keys], dtype=np.int64)
-        self.rows_word = np.array([w for _, w in row_keys], dtype=np.int64)
-        self.rows_flat = self.rows_member * words + self.rows_word
-        self._all_idx = np.arange(self.n_rows, dtype=np.int64)
-
-        planes = (
-            "stuck_set",
-            "stuck_clear",
-            "tf_rise",
-            "tf_fall",
-            "wdf_any",
-            "wdf_one",
-            "wdf_zero",
-            "weak_one",
-            "weak_zero",
-            "irf",
-            "rdf",
-            "drdf",
-        )
-        for name in planes:
-            setattr(
-                self, name, np.zeros((self.n_rows, self.lanes), dtype=np.uint64)
-            )
-
-        coupling: dict[str, list] = {
-            KIND_CF_IN: [],
-            KIND_CF_ID: [],
-            KIND_CF_ST: [],
-        }
-        stateless: dict[str, list] = {
-            KIND_INT_READ: [],
-            KIND_SEU: [],
-            KIND_DRF: [],
-        }
+        by_kind: dict[str, list] = {kind: [] for kind in _TABLE_KINDS}
         for member, lowered in enumerate(lowered_by_member):
             for spec in lowered:
-                if spec.kind in coupling:
-                    coupling[spec.kind].append((member, spec))
-                    continue
-                if spec.kind in stateless:
-                    stateless[spec.kind].append((member, spec))
-                    if spec.kind == KIND_DRF:
-                        # A DRF cell's *write* behaviour is exactly the
-                        # NWRC-weak-cell formulas (the floating bitline
-                        # cannot flip the cell toward the fragile value),
-                        # so its mask rides the weak planes; the decay
-                        # clock lives in the retention group below.
-                        row = row_index[(member, spec.victim.word)]
-                        lane, mask = lanes_of(spec.victim.bit)
-                        plane = self.weak_one if spec.value else self.weak_zero
-                        plane[row, lane] |= np.uint64(mask)
-                    continue
-                row = row_index[(member, spec.victim.word)]
-                lane, mask = lanes_of(spec.victim.bit)
-                plane = self._plane_for(spec)
-                plane[row, lane] |= np.uint64(mask)
+                if spec.kind not in by_kind:
+                    raise ValueError(f"unknown lowered-fault kind {spec.kind!r}")
+                by_kind[spec.kind].append((member, spec))
 
-        self.cf_in = _CouplingGroup(coupling[KIND_CF_IN], row_index, lanes_of, words)
-        self.cf_id = _CouplingGroup(coupling[KIND_CF_ID], row_index, lanes_of, words)
-        self.cf_st = _CouplingGroup(coupling[KIND_CF_ST], row_index, lanes_of, words)
-        self.int_read = _StatelessGroup(
-            stateless[KIND_INT_READ], row_index, lanes_of, words
+        static = _Group(by_kind[KIND_STATIC], words)
+        self.cf_in = _CouplingGroup(by_kind[KIND_CF_IN], words)
+        self.cf_id = _CouplingGroup(by_kind[KIND_CF_ID], words)
+        self.cf_st = _CouplingGroup(by_kind[KIND_CF_ST], words)
+        self.int_read = _StatelessGroup(by_kind[KIND_INT_READ], words)
+        self.seu = _StatelessGroup(by_kind[KIND_SEU], words)
+        self.retention = _StatelessGroup(by_kind[KIND_DRF], words)
+        groups = (
+            static,
+            self.cf_in,
+            self.cf_id,
+            self.cf_st,
+            self.int_read,
+            self.seu,
+            self.retention,
         )
-        self.seu = _StatelessGroup(stateless[KIND_SEU], row_index, lanes_of, words)
-        self.retention = _StatelessGroup(
-            stateless[KIND_DRF], row_index, lanes_of, words
-        )
-        self.has_stateless = bool(
-            self.int_read.size or self.seu.size or self.retention.size
-        )
+        # Rows in (member, word) order, which flat indices sort in too.
+        hooked = np.zeros(len(lowered_by_member) * words, dtype=bool)
+        for group in groups:
+            hooked[group.vic_flat] = True
+        self.rows_flat = np.flatnonzero(hooked)
+        self.n_rows = len(self.rows_flat)
+        self.rows_member = self.rows_flat // words
+        self.rows_word = self.rows_flat % words
+        self._all_idx = np.arange(self.n_rows, dtype=np.int64)
+        row_of = np.cumsum(hooked) - 1
+        for group in groups:
+            group.vic_row = row_of[group.vic_flat]
 
-        self.has_stuck = bool(self.stuck_set.any() or self.stuck_clear.any())
-        self.has_tf_rise = bool(self.tf_rise.any())
-        self.has_tf_fall = bool(self.tf_fall.any())
-        self.has_wdf = bool(
-            self.wdf_any.any() or self.wdf_one.any() or self.wdf_zero.any()
-        )
-        self.has_weak_one = bool(self.weak_one.any())
-        self.has_weak_zero = bool(self.weak_zero.any())
-        self.has_irf = bool(self.irf.any())
-        self.has_rdf = bool(self.rdf.any())
-        self.has_drdf = bool(self.drdf.any())
+        # Static faults as flip planes, [write kind][written][old] and
+        # [observed, after-read][stored]: a set bit stores or reads the
+        # complement of the input bit.  Cell uniqueness leaves each bit at
+        # most one lowered fault, so OR-ing masks composes nothing.
+        shape = (self.n_rows, self.lanes)
+        writes = np.zeros((2, 2, 2) + shape, dtype=np.uint64)
+        reads = np.zeros((2, 2) + shape, dtype=np.uint64)
+        specs = [spec for _, spec in by_kind[KIND_STATIC]]
+        for planes, field in (
+            (writes[0].reshape((4,) + shape), "write_flips"),
+            (writes[1].reshape((4,) + shape), "nwrc_flips"),
+            (reads[0], "read_flips"),
+            (reads[1], "after_read_flips"),
+        ):
+            codes = np.array([getattr(s, field) for s in specs], dtype=np.int64)
+            _or_flips(planes, codes, static)
+        # A DRF cell's NWRC write cannot flip it toward the fragile value
+        # (written = fragile over old = not fragile); its decay clock
+        # lives in the retention group.
+        fragile = self.retention.fragile.astype(np.int64)
+        _or_flips(writes[1].reshape((4,) + shape), 1 << (1 + fragile), self.retention)
+        rewrites = bool(reads[1].any())
+        # Complemented where the input bit is 1, the flips become resulting
+        # bits, twelve planes in all: per write kind the stored bit after
+        # writing ``written`` over ``old``, and per read the plane pairs
+        # (:meth:`TableEvaluator._apply`) of the observed and the
+        # after-read bit (``None`` when no read rewrites its cell).
+        np.invert(writes[:, 1], out=writes[:, 1])
+        np.invert(reads[:, 1], out=reads[:, 1])
+        self.write_tables = writes
+        self.observed_pair = reads[0]
+        self.after_read_pair = reads[1] if rewrites else None
 
-    def _plane_for(self, spec: LoweredFault):
-        if spec.kind == KIND_STUCK:
-            return self.stuck_set if spec.value else self.stuck_clear
-        if spec.kind == KIND_TF:
-            return self.tf_rise if spec.rising else self.tf_fall
-        if spec.kind == KIND_WDF:
-            if spec.value < 0:
-                return self.wdf_any
-            return self.wdf_one if spec.value else self.wdf_zero
-        if spec.kind == KIND_WEAK:
-            return self.weak_one if spec.value else self.weak_zero
-        if spec.kind == KIND_IRF:
-            return self.irf
-        if spec.kind == KIND_RDF:
-            return self.rdf
-        if spec.kind == KIND_DRDF:
-            return self.drdf
-        raise ValueError(f"unknown lowered-fault kind {spec.kind!r}")
+    def write_pair(self, written, nwrc: bool):
+        """The plane pair of a write of the known lanes ``written``."""
+        table = self.write_tables[int(nwrc)]
+        return (written & table[1]) | (~written & table[0])
 
     def sync_fault_state(self) -> None:
         """Publish the advanced analytic state back to the fault objects.
@@ -515,7 +482,6 @@ class TableEvaluator:
         # single-index fancy operation.
         self._states = states
         self._flat = states.reshape(-1, states.shape[2])
-        self._identity_sub = np.arange(table.n_rows, dtype=np.int64)
         # Per-direction sweep offsets of every table row and coupling
         # endpoint (block-independent for the blocks of one sweep; see
         # BucketSweep.full_block_offsets).
@@ -547,6 +513,7 @@ class TableEvaluator:
                 for asc, offsets in sweep_plan.full_block_offsets.items()
             }
         self._element_write_lanes: list = []
+        self._write_pairs: list = []
         self._access_ticks: tuple = ()
         self._per_address = 0
         self._ret_base_now = None
@@ -569,11 +536,16 @@ class TableEvaluator:
     def start_element(
         self, plan: "ElementPlan", write_lanes_per_op, base_now=None, periods=None
     ) -> None:
-        """Cache the element's write lanes, tick offsets and clock bases."""
+        """Cache the element's write lanes and plane pairs, ticks and clocks."""
+        table = self.table
         self._element_write_lanes = write_lanes_per_op
+        self._write_pairs = [
+            None if written is None else table.write_pair(written, op_plan.op.is_nwrc)
+            for written, op_plan in zip(write_lanes_per_op, plan.ops)
+        ]
         self._access_ticks = plan.access_ticks
         self._per_address = plan.per_address_ticks
-        ret = self.table.retention
+        ret = table.retention
         if ret.size:
             if base_now is None or periods is None:
                 raise ValueError(
@@ -595,17 +567,16 @@ class TableEvaluator:
         full = block_len == self.words
         if full:
             idx = table._all_idx
-            positions = block_start + off
+            ctx = _BlockContext(idx, block_start + off, table.rows_flat, None)
         else:
             sel = off < block_len
             idx = table._all_idx[sel]
-            positions = block_start + off[sel]
-        ctx = _BlockContext(idx=idx, positions=positions)
+            ctx = _BlockContext(idx, block_start + off[sel], table.rows_flat[idx], idx)
 
         if not self._group_off and not self._stateless_off:
             return ctx
         if full:
-            sub_map = self._identity_sub
+            sub_map = idx
         else:
             sub_map = np.full(table.n_rows, -1, dtype=np.int64)
             sub_map[idx] = np.arange(idx.size, dtype=np.int64)
@@ -671,38 +642,15 @@ class TableEvaluator:
         """Corrected post-write state of the block's table rows.
 
         Gathers the *old* state (call before the caller's slab
-        assignment clobbers it), applies the per-kind write formulas,
-        moves the retention decay clocks and returns the rows to scatter
-        back via :meth:`commit_write`.
+        assignment clobbers it), applies the write's plane pair (cached
+        by :meth:`start_element` under ``op_index``) and any state
+        coupling, moves the retention decay clocks and returns the rows
+        to scatter back via :meth:`commit_write`.
         """
         table = self.table
-        idx = ctx.idx
-        if not idx.size:
+        if not ctx.idx.size:
             return None
-        old = self._flat[table.rows_flat[idx]]
-        new = np.broadcast_to(write_lanes, old.shape).astype(np.uint64, copy=True)
-        if table.has_tf_rise:
-            mask = table.tf_rise[idx]
-            new = (new & ~mask) | (write_lanes & old & mask)
-        if table.has_tf_fall:
-            mask = table.tf_fall[idx]
-            new = (new & ~mask) | ((write_lanes | old) & mask)
-        if table.has_wdf:
-            effective = (
-                table.wdf_any[idx]
-                | (table.wdf_one[idx] & write_lanes)
-                | (table.wdf_zero[idx] & ~write_lanes)
-            )
-            new ^= ~(write_lanes ^ old) & effective
-        if is_nwrc:
-            if table.has_weak_one:
-                mask = table.weak_one[idx]
-                new = (new & ~mask) | (write_lanes & old & mask)
-            if table.has_weak_zero:
-                mask = table.weak_zero[idx]
-                new = (new & ~mask) | ((write_lanes | old) & mask)
-        if table.has_stuck:
-            new = (new | table.stuck_set[idx]) & ~table.stuck_clear[idx]
+        new = self._apply(ctx, self._write_pairs[op_index], self._flat[ctx.rows])
         group = table.cf_st
         if group.size and ctx.cfst_active is not None:
             sel = ctx.cfst_active & group.affects_write & ctx.cfst_vic_in
@@ -733,7 +681,7 @@ class TableEvaluator:
         """Publish :meth:`prepare_write`'s rows over the slab assignment."""
         if corrected is None:
             return
-        self._flat[self.table.rows_flat[ctx.idx]] = corrected
+        self._flat[ctx.rows] = corrected
 
     def read_op(self, ctx: _BlockContext, expected_lanes, op_index=0):
         """Evaluate one read over the block's table rows.
@@ -786,14 +734,8 @@ class TableEvaluator:
                     (seu.vic_flat[upset], seu.vic_lane[upset]),
                     seu.vic_mask[upset],
                 )
-        stored = self._flat[table.rows_flat[idx]]
-        observed = stored.copy()
-        if table.has_irf:
-            observed ^= table.irf[idx]
-        if table.has_rdf:
-            observed ^= table.rdf[idx]
-        if table.has_stuck:
-            observed = (observed | table.stuck_set[idx]) & ~table.stuck_clear[idx]
+        stored = self._flat[ctx.rows]
+        observed = self._apply(ctx, table.observed_pair, stored)
         group = table.cf_st
         if group.size and ctx.cfst_active is not None:
             sel = ctx.cfst_active & ctx.cfst_vic_in
@@ -817,9 +759,8 @@ class TableEvaluator:
                     (ctx.int_sub[upset], intg.vic_lane[upset]),
                     intg.vic_mask[upset],
                 )
-        if table.has_rdf or table.has_drdf:
-            flips = table.rdf[idx] | table.drdf[idx]
-            self._flat[table.rows_flat[idx]] = stored ^ flips
+        if table.after_read_pair is not None:
+            self._flat[ctx.rows] = self._apply(ctx, table.after_read_pair, stored)
         mismatch = (observed != expected_lanes).any(axis=1)
         if not mismatch.any():
             return None
@@ -828,6 +769,18 @@ class TableEvaluator:
         members = table.rows_member[rows]
         words = table.rows_word[rows]
         return members, words, ctx.positions[hit_idx], observed[hit_idx]
+
+    @staticmethod
+    def _apply(ctx: _BlockContext, pair, old):
+        """Each bit of the block's rows after one access, from its ``old`` bit.
+
+        A plane pair stacks the resulting bit for each value of the old
+        bit: ``set`` where it is 0, ``keep`` where it is 1.
+        """
+        if ctx.sub is not None:
+            pair = pair[:, ctx.sub]
+        set_, keep = pair
+        return (old & keep) | (~old & set_)
 
     def _op_now(self, ctx: _BlockContext, op_index: int):
         """Analytic wall clock of op ``op_index`` at each retention entry.

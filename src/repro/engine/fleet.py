@@ -42,7 +42,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from repro.core.campaign import DiagnosisCampaign
 from repro.engine.aggregate import CampaignSummary, FleetReport
@@ -185,48 +185,6 @@ def chunked_indices(campaigns: int, chunk_size: int) -> list[tuple[int, ...]]:
         tuple(range(start, min(start + chunk_size, campaigns)))
         for start in range(0, campaigns, chunk_size)
     ]
-
-
-class IncompleteChunkStream(ValueError):
-    """The completion stream ended before every submitted chunk arrived."""
-
-
-def reorder_chunks(
-    completions: Iterable[tuple[int, "list[CampaignSummary]"]],
-    total_chunks: int,
-) -> Iterator["list[CampaignSummary]"]:
-    """Re-emit completion-order chunk results in submission order.
-
-    Workers finish chunks in whatever order the pool schedules them;
-    aggregation must stay campaign-ordered to be deterministic.  This
-    buffer holds only the results that completed ahead of the
-    head-of-line chunk and flushes them as soon as the gap fills, so
-    parent-side memory stays bounded by the pool's natural skew.
-
-    Raises if a chunk index arrives twice or never arrives -- a worker
-    protocol violation that must not be silently aggregated over.
-    """
-    require(total_chunks >= 0, "total_chunks must be >= 0")
-    buffered: dict[int, list[CampaignSummary]] = {}
-    next_index = 0
-    for chunk_index, summaries in completions:
-        require(
-            0 <= chunk_index < total_chunks,
-            f"chunk index {chunk_index} outside [0, {total_chunks})",
-        )
-        require(
-            chunk_index >= next_index and chunk_index not in buffered,
-            f"chunk {chunk_index} completed twice",
-        )
-        buffered[chunk_index] = summaries
-        while next_index in buffered:
-            yield buffered.pop(next_index)
-            next_index += 1
-    if next_index != total_chunks or buffered:
-        raise IncompleteChunkStream(
-            f"missing chunk results: got {next_index} of {total_chunks} "
-            f"contiguous chunks ({len(buffered)} stranded out of order)"
-        )
 
 
 def _traced_chunk(
@@ -533,77 +491,72 @@ class FleetScheduler:
             tr.counters.add("fleet.respawns", 0)
             tr.counters.add("fleet.quarantined", 0)
             tr.counters.add("fleet.chunks_recovered", len(recovered))
-        ranks = {index: rank for rank, (index, _) in enumerate(pending)}
         executor = self._execute_pending(pending, chunks)
-        # Pending results arrive in completion order; reorder_chunks
-        # (over the dense pending ranks) restores their submission order
-        # lazily, and persisted chunks are read only when the head of
-        # line reaches them -- so the pool spins up immediately and
-        # parent-side buffering stays bounded by pool skew, however the
-        # loaded and freshly-run chunks interleave.  Worker telemetry
-        # snapshots are merged here, in completion order (merging is
-        # order-insensitive), before the ordering buffer.
+        # Pending results arrive in completion order and wait in
+        # ``buffered`` until their chunk is the head of line; persisted
+        # chunks are read only when the head of line reaches them -- so
+        # the pool spins up immediately and parent-side buffering stays
+        # bounded by pool skew, however the loaded and freshly-run chunks
+        # interleave.  Worker telemetry snapshots merge on arrival
+        # (merging is order-insensitive).
         report = self._telemetry_report
-
-        def completions():
-            for index, summaries, snapshot in executor:
-                if snapshot is not None and report is not None:
-                    report.merge_snapshot(snapshot)
-                yield ranks[index], summaries
-
-        pending_ordered = reorder_chunks(completions(), len(pending))
-        delivered = [0]
-
-        def next_pending(index, chunk):
-            # A pool that stops producing before every submitted chunk
-            # came back is a worker-protocol violation; surface it with
-            # the head-of-line chunk and the delivery counts instead of
-            # reorder_chunks' context-free completeness error (or, worse,
-            # PEP 479's opaque "generator raised StopIteration").
-            try:
-                result = next(pending_ordered)
-            except (StopIteration, IncompleteChunkStream) as error:
-                raise RuntimeError(
-                    f"worker pool ended early: completed {delivered[0]} of "
-                    f"{len(pending)} expected chunk results; head-of-line "
-                    f"chunk {index} (campaigns {chunk[0]}..{chunk[-1]}) "
-                    f"never arrived"
-                ) from error
-            delivered[0] += 1
-            return result
-
+        submitted = {index for index, _ in pending}
+        outstanding = set(submitted)
+        buffered: dict[int, list[CampaignSummary]] = {}
         try:
             for index, chunk in enumerate(chunks):
                 if index in loaded:
                     yield self.checkpoint.load(index, expected_indices=chunk)
-                elif tr.enabled:
-                    # Parent time blocked on the pool (for inline runs
-                    # this equals execution time; with a pool it is the
-                    # scheduler's idle wait for the head-of-line chunk).
-                    wait_started = time.perf_counter_ns()
-                    result = next_pending(index, chunk)
+                    continue
+                # Parent time blocked on the pool (for inline runs this
+                # equals execution time; with a pool it is the
+                # scheduler's idle wait for the head-of-line chunk).
+                wait_started = time.perf_counter_ns()
+                while index not in buffered:
+                    result = next(executor, None)
+                    if result is None:
+                        raise RuntimeError(
+                            f"worker pool ended early: completed "
+                            f"{len(pending) - len(outstanding)} of "
+                            f"{len(pending)} expected chunk results; "
+                            f"head-of-line chunk {index} (campaigns "
+                            f"{chunk[0]}..{chunk[-1]}) never arrived"
+                        )
+                    done, summaries, snapshot = result
+                    if done not in submitted:
+                        raise RuntimeError(
+                            f"chunk index {done} outside the "
+                            f"{len(pending)} pending chunks"
+                        )
+                    if done not in outstanding:
+                        raise RuntimeError(f"chunk {done} completed twice")
+                    outstanding.remove(done)
+                    buffered[done] = summaries
+                    if snapshot is not None and report is not None:
+                        report.merge_snapshot(snapshot)
+                if tr.enabled:
                     tr.counters.add(
                         "fleet.queue_wait.ns",
                         time.perf_counter_ns() - wait_started,
                     )
-                    yield result
-                else:
-                    yield next_pending(index, chunk)
+                yield buffered.pop(index)
             # Only reached on full consumption: a consumer that breaks
-            # out of the stream raises GeneratorExit at the ``yield``
-            # above and skips straight to ``finally`` -- early close is a
+            # out of the stream raises GeneratorExit at a ``yield`` above
+            # and skips straight to ``finally`` -- early close is a
             # supported exit, never a completeness violation.
-            for _ in pending_ordered:  # runs reorder_chunks' completeness check
-                raise ValueError("chunk stream yielded more chunks than submitted")
+            leftover = next(executor, None)
+            if leftover is not None:
+                raise RuntimeError(
+                    f"chunk {leftover[0]} completed after all "
+                    f"{len(pending)} pending chunks were delivered"
+                )
         finally:
-            # Teardown order matters for early close: shut the executor
-            # first (GeneratorExit lands in the supervisor loop, which
-            # *terminates* busy workers rather than draining their
-            # results and joins every worker), then drop the ordering
-            # buffer.  An abandoned stream therefore never blocks on
-            # in-flight chunks and never orphans workers.
+            # Early close: GeneratorExit lands in the supervisor loop,
+            # which *terminates* busy workers rather than draining their
+            # results and joins every worker.  An abandoned stream
+            # therefore never blocks on in-flight chunks and never
+            # orphans workers.
             executor.close()
-            pending_ordered.close()
 
     def _execute_pending(
         self,

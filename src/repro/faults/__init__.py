@@ -23,7 +23,7 @@ from repro.faults.address_fault import (
     ColumnOpenFault,
     ColumnSwapFault,
 )
-from repro.faults.base import CellFault, Fault, FaultClass, LoweredFault
+from repro.faults.base import CellFault, Fault, FaultClass, LoweredFault, StaticCellFault
 from repro.faults.coupling import (
     IdempotentCouplingFault,
     InversionCouplingFault,
@@ -73,6 +73,7 @@ __all__ = [
     "LoweredFault",
     "SoftErrorUpsetFault",
     "StateCouplingFault",
+    "StaticCellFault",
     "StuckAtFault",
     "TransitionFault",
     "WeakCellDefect",

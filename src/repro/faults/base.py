@@ -75,15 +75,10 @@ M1_LOCALIZABLE_CLASSES = frozenset(
 
 #: Lowered-fault kind codes understood by the compiled fault table
 #: (:mod:`repro.engine.fault_table`).  One code per distinct per-access
-#: behaviour, not per :class:`FaultClass` -- e.g. both SAF0 and SAF1 lower
-#: to ``KIND_STUCK`` with different ``value`` parameters.
-KIND_STUCK = "stuck"
-KIND_TF = "tf"
-KIND_IRF = "irf"
-KIND_RDF = "rdf"
-KIND_DRDF = "drdf"
-KIND_WDF = "wdf"
-KIND_WEAK = "weak"
+#: evaluation, not per :class:`FaultClass`: every memoryless single-cell
+#: fault (:class:`StaticCellFault`) lowers to ``KIND_STATIC`` with the flip
+#: masks tabulated from its own hooks.
+KIND_STATIC = "static"
 KIND_CF_IN = "cf-in"
 KIND_CF_ID = "cf-id"
 KIND_CF_ST = "cf-st"
@@ -92,21 +87,23 @@ KIND_SEU = "seu"
 KIND_DRF = "drf"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LoweredFault:
     """One fault's behaviour compiled to table-evaluable parameters.
 
     The structured-array columns of the compiled fault table are built
     from these records: the victim cell locates the (row, lane, bitmask)
     triple, ``aggressor`` the aux cell of coupling kinds, and the scalar
-    parameters select the per-kind select/mask formula.  Field meaning by
-    ``kind``:
+    parameters select the per-kind formula.  Field meaning by ``kind``:
 
-    ``stuck``   ``value`` = stuck level.
-    ``tf``      ``rising`` = the transition the cell cannot make.
-    ``irf``/``rdf``/``drdf``  no parameters.
-    ``wdf``     ``value`` = disturb polarity (``-1`` = both).
-    ``weak``    ``value`` = the NWRC-weak side.
+    ``static``  four flip masks, one bit per input the hooks saw: a set
+                bit means the access does not do what a fault-free cell
+                does.  ``write_flips``/``nwrc_flips`` hold bit
+                ``2 * written + old`` when a normal/NWRC write of
+                ``written`` over ``old`` stores the complement of
+                ``written``; ``read_flips``/``after_read_flips`` hold bit
+                ``stored`` when a read of ``stored`` observes/leaves the
+                complement of ``stored``.
     ``cf-in``   ``rising`` = triggering aggressor transition.
     ``cf-id``   ``rising`` = trigger, ``value`` = forced victim value.
     ``cf-st``   ``aggressor_state``/``value`` (= forced value) /
@@ -122,6 +119,8 @@ class LoweredFault:
     the originating fault object, so the evaluator can publish its final
     draw counter / decay clock back after the session -- multi-session
     flows (test, repair, retest, burn-in) reuse the same fault objects.
+    Slotted and not frozen: a heavy campaign builds thousands of these
+    per session and nothing hashes or mutates them.
     """
 
     kind: str
@@ -137,6 +136,10 @@ class LoweredFault:
     retention_ns: float = 0.0
     written_at_ns: float | None = None
     source: object | None = None
+    write_flips: int = 0
+    nwrc_flips: int = 0
+    read_flips: int = 0
+    after_read_flips: int = 0
 
 
 class Fault:
@@ -242,3 +245,59 @@ class CellFault(Fault):
         self, memory: "SRAM", word: int, bit: int, old_bit: int, new_bit: int
     ) -> None:
         """React to a transition of a watched aggressor cell."""
+
+
+class _HookProbe:
+    """Stand-in memory that records a read hook's ``force_stored_bit``.
+
+    A static fault's hooks touch no memory state but their victim's
+    stored bit, so this one method is all they may call.
+    """
+
+    __slots__ = ("stored",)
+
+    def force_stored_bit(self, word: int, bit: int, value: int) -> None:
+        self.stored = value
+
+
+class StaticCellFault(CellFault):
+    """A memoryless single-cell fault, lowered by tabulating its hooks.
+
+    Its writes are functions of (written bit, old bit) alone, its reads of
+    the stored bit alone, and a read may rewrite only the victim cell.
+    :meth:`lower` therefore runs the fault's own ``on_write``,
+    ``on_nwrc_write`` and ``on_read`` over every input and records where
+    each departs from a fault-free cell, so the compiled table and the
+    reference simulator execute the same definition.
+    """
+
+    def vector_lowerable(self) -> bool:
+        return True
+
+    def lower(self) -> LoweredFault:
+        cell = self.victims[0]
+        word, bit = cell.word, cell.bit
+        probe = _HookProbe()
+        write_flips = nwrc_flips = 0
+        for written in (0, 1):
+            for old in (0, 1):
+                slot = 1 << (2 * written + old)
+                if self.on_write(probe, word, bit, old, written) != written:
+                    write_flips |= slot
+                if self.on_nwrc_write(probe, word, bit, old, written) != written:
+                    nwrc_flips |= slot
+        read_flips = after_read_flips = 0
+        for stored in (0, 1):
+            probe.stored = stored
+            if self.on_read(probe, word, bit, stored) != stored:
+                read_flips |= 1 << stored
+            if probe.stored != stored:
+                after_read_flips |= 1 << stored
+        return LoweredFault(
+            KIND_STATIC,
+            cell,
+            write_flips=write_flips,
+            nwrc_flips=nwrc_flips,
+            read_flips=read_flips,
+            after_read_flips=after_read_flips,
+        )

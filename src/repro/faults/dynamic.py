@@ -20,20 +20,12 @@ algorithm library (:func:`repro.march.library.march_ss`) demonstrates.
 
 from __future__ import annotations
 
-from repro.faults.base import (
-    KIND_DRDF,
-    KIND_IRF,
-    KIND_RDF,
-    KIND_WDF,
-    CellFault,
-    FaultClass,
-    LoweredFault,
-)
+from repro.faults.base import FaultClass, StaticCellFault
 from repro.memory.geometry import CellRef
 from repro.util.validation import require
 
 
-class IncorrectReadFault(CellFault):
+class IncorrectReadFault(StaticCellFault):
     """IRF: reads return the complement; the stored value is untouched."""
 
     def __init__(self, cell: CellRef) -> None:
@@ -43,14 +35,8 @@ class IncorrectReadFault(CellFault):
     def on_read(self, memory, word, bit, stored_bit):
         return 1 - stored_bit
 
-    def vector_lowerable(self) -> bool:
-        return True
 
-    def lower(self) -> LoweredFault:
-        return LoweredFault(KIND_IRF, self.victims[0])
-
-
-class ReadDestructiveFault(CellFault):
+class ReadDestructiveFault(StaticCellFault):
     """RDF: the read flips the cell and returns the flipped value."""
 
     def __init__(self, cell: CellRef) -> None:
@@ -62,14 +48,8 @@ class ReadDestructiveFault(CellFault):
         memory.force_stored_bit(word, bit, flipped)
         return flipped
 
-    def vector_lowerable(self) -> bool:
-        return True
 
-    def lower(self) -> LoweredFault:
-        return LoweredFault(KIND_RDF, self.victims[0])
-
-
-class DeceptiveReadDestructiveFault(CellFault):
+class DeceptiveReadDestructiveFault(StaticCellFault):
     """DRDF: the read returns the *correct* value but flips the cell.
 
     The canonical single-read escape: the corrupted state is only
@@ -85,14 +65,8 @@ class DeceptiveReadDestructiveFault(CellFault):
         memory.force_stored_bit(word, bit, 1 - stored_bit)
         return stored_bit
 
-    def vector_lowerable(self) -> bool:
-        return True
 
-    def lower(self) -> LoweredFault:
-        return LoweredFault(KIND_DRDF, self.victims[0])
-
-
-class WriteDisturbFault(CellFault):
+class WriteDisturbFault(StaticCellFault):
     """WDF: writing the already-stored value flips the cell.
 
     ``polarity`` restricts the disturb to non-transition writes of 0 or 1;
@@ -109,13 +83,3 @@ class WriteDisturbFault(CellFault):
         if old_bit == new_bit and (self.polarity is None or new_bit == self.polarity):
             return 1 - new_bit
         return new_bit
-
-    def vector_lowerable(self) -> bool:
-        return True
-
-    def lower(self) -> LoweredFault:
-        return LoweredFault(
-            KIND_WDF,
-            self.victims[0],
-            value=-1 if self.polarity is None else self.polarity,
-        )

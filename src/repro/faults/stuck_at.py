@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from repro.faults.base import KIND_STUCK, CellFault, FaultClass, LoweredFault
+from repro.faults.base import FaultClass, StaticCellFault
 from repro.memory.geometry import CellRef
 from repro.util.validation import require
 
 
-class StuckAtFault(CellFault):
+class StuckAtFault(StaticCellFault):
     """A cell permanently stuck at ``value`` (0 or 1).
 
     Both reads and writes observe the stuck value: writes of the opposite
@@ -26,9 +26,3 @@ class StuckAtFault(CellFault):
 
     def on_write(self, memory, word, bit, old_bit, new_bit):
         return self.value
-
-    def vector_lowerable(self) -> bool:
-        return True
-
-    def lower(self) -> LoweredFault:
-        return LoweredFault(KIND_STUCK, self.victims[0], value=self.value)

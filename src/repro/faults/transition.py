@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from repro.faults.base import KIND_TF, CellFault, FaultClass, LoweredFault
+from repro.faults.base import FaultClass, StaticCellFault
 from repro.memory.geometry import CellRef
 from repro.util.validation import require
 
 
-class TransitionFault(CellFault):
+class TransitionFault(StaticCellFault):
     """A cell that cannot make a ``0 -> 1`` (rising) or ``1 -> 0`` transition.
 
     Writes of the same value are unaffected; only the faulty transition is
@@ -28,9 +28,3 @@ class TransitionFault(CellFault):
         if not self.rising and old_bit == 1 and new_bit == 0:
             return 1
         return new_bit
-
-    def vector_lowerable(self) -> bool:
-        return True
-
-    def lower(self) -> LoweredFault:
-        return LoweredFault(KIND_TF, self.victims[0], rising=self.rising)

@@ -14,12 +14,12 @@ claimed by the proposed scheme.
 
 from __future__ import annotations
 
-from repro.faults.base import KIND_WEAK, CellFault, FaultClass, LoweredFault
+from repro.faults.base import FaultClass, StaticCellFault
 from repro.memory.geometry import CellRef
 from repro.util.validation import require
 
 
-class WeakCellDefect(CellFault):
+class WeakCellDefect(StaticCellFault):
     """A cell whose ``weak_value`` side pull-up is resistive.
 
     Normal writes, reads and retention are unaffected.  An NWRC write *to*
@@ -36,9 +36,3 @@ class WeakCellDefect(CellFault):
         if new_bit == self.weak_value and old_bit != new_bit:
             return old_bit
         return new_bit
-
-    def vector_lowerable(self) -> bool:
-        return True
-
-    def lower(self) -> LoweredFault:
-        return LoweredFault(KIND_WEAK, self.victims[0], value=self.weak_value)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.scheme import FastDiagnosisScheme
+from repro.engine import batched
 from repro.engine.fault_table import lower_bucket, partition_faults
 from repro.engine.session import (
     plan_cache_stats,
@@ -26,7 +27,14 @@ from repro.engine.session import (
     run_session,
     session_step_plans,
 )
-from repro.faults.base import KIND_CF_ST, KIND_DRF, KIND_INT_READ, KIND_STUCK
+from repro.faults.base import (
+    KIND_CF_ST,
+    KIND_DRF,
+    KIND_INT_READ,
+    KIND_STATIC,
+    FaultClass,
+    StaticCellFault,
+)
 from repro.faults.coupling import (
     IdempotentCouplingFault,
     InversionCouplingFault,
@@ -191,11 +199,13 @@ class TestLoweringProtocol:
 
     def test_lower_payloads(self):
         stuck = StuckAtFault(CellRef(3, 2), 1).lower()
-        assert (stuck.kind, stuck.victim, stuck.value) == (
-            KIND_STUCK,
-            CellRef(3, 2),
-            1,
-        )
+        assert (stuck.kind, stuck.victim) == (KIND_STATIC, CellRef(3, 2))
+        assert (
+            stuck.write_flips,
+            stuck.nwrc_flips,
+            stuck.read_flips,
+            stuck.after_read_flips,
+        ) == (0b0011, 0b0011, 0b01, 0b00)
         cf = StateCouplingFault(
             CellRef(0, 1), CellRef(2, 3), aggressor_state=0, forced_value=1,
             affects_write=False,
@@ -226,6 +236,103 @@ class TestLoweringProtocol:
         assert not fault.vector_lowerable()
         with pytest.raises(NotImplementedError):
             fault.lower()
+
+
+#: label -> (factory, write, NWRC write, observed-read, after-read flips).
+#: Write masks hold bit ``2 * written + old`` where the stored bit is not
+#: the written one; read masks hold bit ``stored`` where the observed or
+#: the after-read bit is not the stored one.
+STATIC_FLIPS = {
+    "stuck-at-0": (lambda c: StuckAtFault(c, 0), 0b1100, 0b1100, 0b10, 0b00),
+    "stuck-at-1": (lambda c: StuckAtFault(c, 1), 0b0011, 0b0011, 0b01, 0b00),
+    "transition-up": (lambda c: TransitionFault(c, True), 0b0100, 0b0100, 0, 0),
+    "transition-down": (lambda c: TransitionFault(c, False), 0b0010, 0b0010, 0, 0),
+    "weak-0": (lambda c: WeakCellDefect(c, 0), 0, 0b0010, 0, 0),
+    "weak-1": (lambda c: WeakCellDefect(c, 1), 0, 0b0100, 0, 0),
+    "write-disturb-both": (
+        lambda c: WriteDisturbFault(c, None), 0b1001, 0b1001, 0, 0
+    ),
+    "write-disturb-0": (lambda c: WriteDisturbFault(c, 0), 0b0001, 0b0001, 0, 0),
+    "write-disturb-1": (lambda c: WriteDisturbFault(c, 1), 0b1000, 0b1000, 0, 0),
+    "incorrect-read": (IncorrectReadFault, 0, 0, 0b11, 0),
+    "read-destructive": (ReadDestructiveFault, 0, 0, 0b11, 0b11),
+    "deceptive-read-destructive": (DeceptiveReadDestructiveFault, 0, 0, 0, 0b11),
+}
+
+
+class TestStaticLowering:
+    """Static faults lower to the flip masks of their own hooks."""
+
+    @pytest.mark.parametrize("label", sorted(STATIC_FLIPS))
+    def test_flip_masks(self, label):
+        factory, *flips = STATIC_FLIPS[label]
+        fault = factory(CellRef(2, 5))
+        assert isinstance(fault, StaticCellFault)
+        assert fault.vector_lowerable()
+        low = fault.lower()
+        assert (low.kind, low.victim) == (KIND_STATIC, CellRef(2, 5))
+        assert [
+            low.write_flips,
+            low.nwrc_flips,
+            low.read_flips,
+            low.after_read_flips,
+        ] == flips
+
+
+class NwrcComplementCell(StaticCellFault):
+    """Test-only static fault: NWRC writes store the complement."""
+
+    fault_class = FaultClass.WEAK
+
+    def __init__(self, cell: CellRef) -> None:
+        self.victims = (cell,)
+
+    def on_nwrc_write(self, memory, word, bit, old_bit, new_bit):
+        return 1 - new_bit
+
+
+class LeakyOneReadCell(StaticCellFault):
+    """Test-only static fault: reading a 1 observes it, then leaves a 0."""
+
+    fault_class = FaultClass.DRDF
+
+    def __init__(self, cell: CellRef) -> None:
+        self.victims = (cell,)
+
+    def on_read(self, memory, word, bit, stored_bit):
+        if stored_bit:
+            memory.force_stored_bit(word, bit, 0)
+        return stored_bit
+
+
+class TestHookDefinedStaticFault:
+    """A static fault defined by its hooks alone lowers and round-trips."""
+
+    def test_lowering_tabulates_the_hooks(self):
+        nwrc = NwrcComplementCell(CellRef(0, 0)).lower()
+        assert (nwrc.write_flips, nwrc.nwrc_flips) == (0, 0b1111)
+        assert (nwrc.read_flips, nwrc.after_read_flips) == (0, 0)
+        leaky = LeakyOneReadCell(CellRef(0, 0)).lower()
+        assert (leaky.write_flips, leaky.nwrc_flips) == (0, 0)
+        assert (leaky.read_flips, leaky.after_read_flips) == (0, 0b10)
+
+    @pytest.mark.parametrize("fault_type", [NwrcComplementCell, LeakyOneReadCell])
+    @pytest.mark.parametrize("case", range(3))
+    def test_round_trips_on_the_table_lane(self, monkeypatch, fault_type, case):
+        # Threshold 0: every hooked bucket compiles its table.
+        monkeypatch.setattr(batched, "TABLE_MIN_HOOKED_ROWS", 0)
+
+        def inject(bank):
+            injector = FaultInjector()
+            for index, memory in enumerate(bank):
+                pick = cell_picker(memory.geometry, make_rng(0x57A + case + index))
+                count = max(1, memory.geometry.cells // 4)
+                injector.inject(memory, [fault_type(pick()) for _ in range(count)])
+
+        # March CW-NW has normal writes, NWRC writes and repeated reads.
+        assert_sessions_identical(
+            fault_type.__name__, march_cw_nw, seed=0x57A + case * 17, inject=inject
+        )
 
 
 class TestPartition:

@@ -20,7 +20,6 @@ from repro.engine.fleet import (
     FleetScheduler,
     FleetSpec,
     chunked_indices,
-    reorder_chunks,
     run_campaign,
     run_chunk,
     run_fleet,
@@ -126,9 +125,11 @@ def _chunk_summaries(chunks: list[tuple[int, ...]]) -> list[list[CampaignSummary
 class TestOutOfOrderChunks:
     """The ordering buffer between pool completion and aggregation.
 
-    Workers may finish chunks in any order (``imap_unordered``); the
-    aggregation contract is that summaries reach the report in campaign
-    order regardless, so fleet statistics are identical to an inline run.
+    Workers may finish chunks in any order; the aggregation contract is
+    that summaries reach the report in campaign order regardless, so fleet
+    statistics are identical to an inline run.  The scheduler's stream is
+    driven here by an executor that completes chunks shuffled, duplicated
+    or truncated.
     """
 
     CHUNKS = chunked_indices(10, 3)  # [(0,1,2), (3,4,5), (6,7,8), (9,)]
@@ -137,57 +138,77 @@ class TestOutOfOrderChunks:
         summaries = _chunk_summaries(self.CHUNKS)
         return [(i, summaries[i]) for i in order]
 
+    def stream(self, monkeypatch, completions):
+        """The scheduler's chunk stream over completion-order results."""
+        scheduler = FleetScheduler(SPEC, workers=1, chunk_size=3)
+
+        def executor(pending, chunks):
+            for index, summaries in completions:
+                yield index, summaries, None
+
+        monkeypatch.setattr(scheduler, "_execute_pending", executor)
+        return scheduler._stream_chunks(self.CHUNKS)
+
     @pytest.mark.parametrize(
         "completion_order",
         [(3, 2, 1, 0), (2, 0, 3, 1), (1, 3, 0, 2), (0, 1, 2, 3)],
     )
-    def test_shuffled_completions_restore_campaign_order(self, completion_order):
-        ordered = list(
-            reorder_chunks(iter(self.shuffled(completion_order)), len(self.CHUNKS))
-        )
+    def test_shuffled_completions_restore_campaign_order(
+        self, monkeypatch, completion_order
+    ):
+        ordered = list(self.stream(monkeypatch, self.shuffled(completion_order)))
         flattened = [summary.index for chunk in ordered for summary in chunk]
         assert flattened == list(range(10))
 
     @pytest.mark.parametrize("completion_order", [(3, 1, 0, 2), (2, 0, 3, 1)])
-    def test_aggregation_matches_in_order_delivery(self, completion_order):
+    def test_aggregation_matches_in_order_delivery(
+        self, monkeypatch, completion_order
+    ):
         in_order = FleetReport()
         for chunk in _chunk_summaries(self.CHUNKS):
             for summary in chunk:
                 in_order.add(summary)
         out_of_order = FleetReport()
-        for chunk in reorder_chunks(
-            iter(self.shuffled(completion_order)), len(self.CHUNKS)
-        ):
+        for chunk in self.stream(monkeypatch, self.shuffled(completion_order)):
             for summary in chunk:
                 out_of_order.add(summary)
         assert out_of_order.to_json_dict() == in_order.to_json_dict()
 
-    def test_buffer_flushes_as_gaps_fill(self):
+    def test_buffer_flushes_as_gaps_fill(self, monkeypatch):
         # Chunk 0 last: everything must be buffered, then flushed at once.
-        stream = reorder_chunks(iter(self.shuffled((3, 2, 1, 0))), len(self.CHUNKS))
+        stream = self.stream(monkeypatch, self.shuffled((3, 2, 1, 0)))
         first = next(stream)
         assert [s.index for s in first] == [0, 1, 2]
         assert [s.index for chunk in stream for s in chunk] == list(range(3, 10))
 
-    def test_duplicate_chunk_rejected(self):
+    def test_duplicate_chunk_rejected(self, monkeypatch):
         summaries = _chunk_summaries(self.CHUNKS)
         completions = [(0, summaries[0]), (1, summaries[1]), (1, summaries[1])]
-        with pytest.raises(ValueError, match="completed twice"):
-            list(reorder_chunks(iter(completions), len(self.CHUNKS)))
+        with pytest.raises(RuntimeError, match="completed twice"):
+            list(self.stream(monkeypatch, completions))
 
-    def test_missing_chunk_rejected(self):
+    def test_missing_chunk_rejected(self, monkeypatch):
         completions = self.shuffled((0, 2, 3))
-        with pytest.raises(ValueError, match="missing chunk results"):
-            list(reorder_chunks(iter(completions), len(self.CHUNKS)))
+        with pytest.raises(
+            RuntimeError,
+            match=r"worker pool ended early: completed 3 of 4 expected chunk "
+            r"results; head-of-line chunk 1 \(campaigns 3\.\.5\)",
+        ):
+            list(self.stream(monkeypatch, completions))
 
-    def test_out_of_range_chunk_rejected(self):
+    def test_out_of_range_chunk_rejected(self, monkeypatch):
         completions = [(7, [])]
-        with pytest.raises(ValueError, match="outside"):
-            list(reorder_chunks(iter(completions), len(self.CHUNKS)))
+        with pytest.raises(RuntimeError, match="outside"):
+            list(self.stream(monkeypatch, completions))
+
+    def test_result_after_last_chunk_rejected(self, monkeypatch):
+        completions = self.shuffled((0, 1, 2, 3, 2))
+        with pytest.raises(RuntimeError, match="after all 4 pending chunks"):
+            list(self.stream(monkeypatch, completions))
 
     def test_pooled_unordered_execution_matches_inline(self):
-        # End to end through the real pool: the imap_unordered +
-        # reorder_chunks path must agree with inline execution exactly.
+        # End to end through the real pool: completion-order results,
+        # reordered by the scheduler, must agree with inline execution.
         inline = run_fleet(SPEC, workers=1, chunk_size=1)
         pooled = run_fleet(SPEC, workers=3, chunk_size=1)
         assert comparable(pooled) == comparable(inline)
@@ -203,7 +224,7 @@ def _boom_chunk_runner(spec, indices):
 def _reversed_finish_chunk_runner(spec, indices):
     """Picklable runner whose chunks finish in reverse submission order.
 
-    Later chunks sleep less, so ``imap_unordered`` hands them back first
+    Later chunks sleep less, so the worker pool hands them back first
     and the scheduler's ordering buffer does real work.
     """
     time.sleep(0.03 * (spec.campaigns - 1 - indices[0]))
@@ -563,20 +584,20 @@ class TestEarlyConsumerExit:
             next(stream)
 
     def test_exhausted_ordering_buffer_raises_clear_error(self, monkeypatch):
-        import repro.engine.fleet as fleet_module
+        scheduler = FleetScheduler(SPEC, workers=1, chunk_size=1)
+        original = scheduler._execute_pending
 
-        original = fleet_module.reorder_chunks
-
-        def one_then_stop(completions, expected):
-            # An ordering buffer that silently ends after one chunk --
-            # the defensive guard behind it must raise, not StopIteration.
-            for item in original(completions, expected):
+        def one_then_stop(pending, chunks):
+            # An executor that silently ends after one chunk -- the
+            # stream must raise, not StopIteration.
+            for item in original(pending, chunks):
                 yield item
                 return
 
-        scheduler = FleetScheduler(SPEC, workers=1, chunk_size=1)
-        monkeypatch.setattr(fleet_module, "reorder_chunks", one_then_stop)
+        monkeypatch.setattr(scheduler, "_execute_pending", one_then_stop)
         stream = scheduler._stream_chunks(chunked_indices(SPEC.campaigns, 1))
         next(stream)
-        with pytest.raises(RuntimeError, match="worker pool ended early"):
+        with pytest.raises(
+            RuntimeError, match="worker pool ended early: completed 1 of 4"
+        ):
             next(stream)

@@ -38,6 +38,18 @@ class TestMonitorCommand:
         windows = [validate_window_metrics_line(line)["window"] for line in lines]
         assert windows == [0, 1, 2, 3]
 
+    def test_total_events_sum_the_metrics_lines(self, tmp_path, capsys):
+        metrics = tmp_path / "windows.jsonl"
+        assert main(
+            ["monitor", *FAST, "--workers", "2", "--json",
+             "--metrics-out", str(metrics)]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        lines = metrics.read_text().splitlines()
+        assert payload["windows"] == len(lines) == 4
+        events = [validate_window_metrics_line(line)["events"] for line in lines]
+        assert payload["total_events"] == sum(events) > 0
+
     def test_resume_without_checkpoint_fails(self, capsys):
         assert main(["monitor", *FAST, "--resume"]) == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err

@@ -239,6 +239,43 @@ class TestTelemetryFlags:
         flat = json.loads(metrics.read_text())
         assert "lane_attribution" in flat and "counters" in flat
 
+    def test_pooled_fleet_trace_nests_and_attributes_lanes(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        trace = tmp_path / "trace.json"
+        metrics = tmp_path / "metrics.json"
+        assert main(
+            ["fleet", "--memories", "4", "--campaigns", "4", "--workers", "2",
+             "--chunk-size", "1", "--telemetry", "--json",
+             "--trace-out", str(trace), "--metrics-out", str(metrics)]
+        ) == 0
+        assert "telemetry" in json.loads(capsys.readouterr().out)
+        # Loadable by chrome://tracing / Perfetto: timestamps sorted and
+        # every B closed by its E in strict nesting per (pid, tid) track.
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert events
+        timestamps = [event["ts"] for event in events]
+        assert timestamps == sorted(timestamps)
+        stacks: dict = {}
+        for event in events:
+            assert event["ph"] in ("B", "E"), event
+            stack = stacks.setdefault((event["pid"], event["tid"]), [])
+            if event["ph"] == "B":
+                stack.append(event["name"])
+            else:
+                assert stack and stack.pop() == event["name"], event
+        assert len(stacks) > 1, "worker spans missing from the trace"
+        assert not any(stacks.values()), "unclosed spans"
+        flat = json.loads(metrics.read_text())
+        attribution = flat["lane_attribution"]
+        assert set(attribution["lanes"]) == {"replay", "table", "clean"}
+        for lane in attribution["lanes"].values():
+            assert {"time_s", "words", "time_share", "word_share"} <= set(lane)
+        assert attribution["march_time_s"] > 0
+        assert flat["fleet"]["chunks"] > 0
+
     def test_trace_out_implies_telemetry_in_json_mode(self, capsys, tmp_path):
         import json
 
