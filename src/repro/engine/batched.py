@@ -18,13 +18,13 @@ they differ only in what the planner hands it:
   cell faults -- the deterministic kinds (stuck-at, transition,
   read/write-disturb, NWRC-weak, inter-word coupling) plus the
   stateful-but-closed-form ones (counter-based intermittent/soft-error
-  upsets, retention decay with its analytic visit clock) -- are
-  evaluated fleet-wide as masked vector ops inside the same block
-  decomposition, and the remaining fault-hooked words (intra-word
+  upsets, retention decay with its analytic visit clock) -- run as a
+  lane of their own, fleet-wide masked vector ops over the same blocks
+  as the clean rows, and the remaining fault-hooked words (intra-word
   coupling, shared-cell chains) keep the behavioural replay lane, exact
   sweep order and clocking per memory.  A bucket with fewer hooked rows
-  compiles nothing and replays them all, because the table's evaluator
-  calls cost fixed numpy work per block that only many rows repay.  The
+  compiles nothing and replays them all, because the table lane costs
+  fixed numpy work per block that only many rows repay.  The
   count comes from the packed stack's hooked-row masks, before anything
   is partitioned.  The rule is part of the plan, so it holds whether
   ``batched`` was forced or ``auto`` chose it.
@@ -45,13 +45,12 @@ march runs and the baseline's iterate-repair sparse serial replay
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.backends import NumpyBackend, register_backend, vector_capable
-from repro.engine.fault_table import BucketLanes, TableEvaluator, lower_bucket
+from repro.engine.fault_table import BucketLanes, lower_bucket
 from repro.engine.kernel import run_stack
 from repro.engine.session import (
     _run_memory_session,
@@ -60,14 +59,13 @@ from repro.engine.session import (
     finish_session,
     session_step_plans,
 )
-from repro.telemetry.core import tracer as _tracer
 
 #: Fault-hooked rows, summed over a geometry bucket's memories, from
 #: which the batched plan compiles the bucket's fault table; a smaller
 #: bucket replays every hooked row.  Traced over the buckets of all four
 #: perfbench workloads (2-core Xeon), replay costs a near-flat 5-9 us per
-#: row visit (``lane.replay.ns`` / ``lane.replay.words``).  The table's
-#: evaluator calls are fixed numpy work per block, so its cost per row
+#: row visit (``lane.replay.ns`` / ``lane.replay.words``).  The table
+#: lane's numpy work is fixed per block, so its cost per row
 #: visit (``lane.table.ns`` plus ``table.compile.ns``, over
 #: ``lane.table.words``) falls with the bucket's rows: 40 us at 1-3 rows,
 #: 11 us at 16-31, 6-7 us at 32-64 and 1-4 us from 65.  The lanes break
@@ -204,7 +202,6 @@ def session_logs(scheme, algorithm, buckets, fallback, batched):
             scheme.controller_words,
             scheme.ecc_observers,
             _bucket_lanes if batched else None,
-            _table_evaluator,
         )
     for index in fallback:
         yield [_run_memory_session(scheme, scheme.bank[index], algorithm)]
@@ -222,71 +219,6 @@ def _bucket_lanes(memories, hooked_masks) -> BucketLanes | None:
     if int(hooked_masks.sum()) < TABLE_MIN_HOOKED_ROWS:
         return None
     return lower_bucket(memories)
-
-
-class _TimedEvaluator:
-    """:class:`TableEvaluator` proxy attributing its time to the table lane.
-
-    Brackets every evaluator call with the monotonic clock, accumulating
-    into ``lane.table.ns`` (and counting each block's visited table rows
-    into ``lane.table.words``), so the vector section's remainder is the
-    clean lane's share.  Constructed only when telemetry is enabled; the
-    normal path keeps the bare evaluator.
-    """
-
-    __slots__ = ("_inner", "_counters")
-
-    def __init__(self, inner: TableEvaluator, counters) -> None:
-        self._inner = inner
-        self._counters = counters
-
-    @property
-    def needs_timing(self) -> bool:
-        return self._inner.needs_timing
-
-    def start_element(
-        self, plan, write_lanes_per_op, base_now=None, periods=None
-    ) -> None:
-        started = time.perf_counter_ns()
-        self._inner.start_element(plan, write_lanes_per_op, base_now, periods)
-        self._counters.add("lane.table.ns", time.perf_counter_ns() - started)
-
-    def start_block(self, plan, block_start, block_len):
-        started = time.perf_counter_ns()
-        ctx = self._inner.start_block(plan, block_start, block_len)
-        counters = self._counters
-        counters.add("lane.table.ns", time.perf_counter_ns() - started)
-        counters.add("lane.table.words", int(ctx.idx.size))
-        return ctx
-
-    def read_op(self, ctx, expected_lanes, op_index=0):
-        started = time.perf_counter_ns()
-        hits = self._inner.read_op(ctx, expected_lanes, op_index)
-        self._counters.add("lane.table.ns", time.perf_counter_ns() - started)
-        return hits
-
-    def prepare_write(self, ctx, write_lanes, is_nwrc, op_index=0):
-        started = time.perf_counter_ns()
-        corrected = self._inner.prepare_write(ctx, write_lanes, is_nwrc, op_index)
-        self._counters.add("lane.table.ns", time.perf_counter_ns() - started)
-        return corrected
-
-    def commit_write(self, ctx, corrected) -> None:
-        started = time.perf_counter_ns()
-        self._inner.commit_write(ctx, corrected)
-        self._counters.add("lane.table.ns", time.perf_counter_ns() - started)
-
-    def end_block(self, ctx) -> None:
-        started = time.perf_counter_ns()
-        self._inner.end_block(ctx)
-        self._counters.add("lane.table.ns", time.perf_counter_ns() - started)
-
-
-def _table_evaluator(table, sweep, states):
-    """The bucket's table evaluator, timed into its lane under telemetry."""
-    evaluator = TableEvaluator(table, sweep, states)
-    tr = _tracer()
-    return _TimedEvaluator(evaluator, tr.counters) if tr.enabled else evaluator
 
 
 register_backend("batched", BatchedBackend)

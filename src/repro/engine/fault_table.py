@@ -4,10 +4,12 @@ The behavioural replay lane (:func:`repro.engine.kernel.replay_dirty_positions`)
 is exact for *every* fault class but costs one Python dispatch per hooked
 access.  This module evaluates the *deterministic* majority of the fault
 library as array operations instead: a geometry bucket's lowerable faults
-compile into per-row bit planes and per-entry columns, and each march
-element is evaluated over all of the bucket's table rows at once, a few
-vector ops per operation.  The batched plan compiles a table only for
-buckets with enough fault-hooked rows to amortize those ops
+compile into per-row bit planes and per-entry columns, and
+:class:`TableEvaluator` runs them as a lane of its own.  It keeps the
+bucket's table rows in a state array of its own and evaluates each march
+element over all of them at once, a few vector ops per operation.  The
+batched plan compiles a table only for buckets with enough fault-hooked
+rows to amortize those ops
 (:data:`repro.engine.batched.TABLE_MIN_HOOKED_ROWS`).
 
 At session-plan time each memory's cell faults are partitioned by the
@@ -21,9 +23,8 @@ lowering protocol (:meth:`repro.faults.base.Fault.vector_lowerable` /
   one table of stored bits indexed by (written, old) bit, and ``(keep,
   set)`` pairs for a read's observed and after-read bits.  Every access
   applies one plane pair, ``(old & keep) | (~old & set)``, over *all*
-  table rows of a geometry bucket (stacked ``(n_mem, words, lanes)``
-  state), inside the same wrap-around block decomposition the clean-row
-  path uses.
+  table rows of a geometry bucket, block by block over the same
+  wrap-around blocks the clean lane sweeps.
 * **Inter-word coupling** keeps per-entry columns (the aux aggressor cell
   breaks the one-mask-per-row shape).
 * **Stateful-but-analytic faults** also lower: intermittent/soft-error
@@ -31,8 +32,8 @@ lowering protocol (:meth:`repro.faults.base.Fault.vector_lowerable` /
   ``k`` of fault ``f`` is a pure function of ``(f.seed, k)``,
   :func:`repro.util.rng.counter_hash`), so the per-visit upset masks are
   computed directly from the plan's per-cell access counts -- SEU
-  persistence falls out of committing each visit's flips to the packed
-  state before the next gather, the XOR-prefix over visit masks.
+  persistence falls out of committing each visit's flips to the lane's
+  rows before the next access, the XOR-prefix over visit masks.
   Retention decay is evaluated by computing the elapsed time between the
   last fragile write and each read analytically from the element plan's
   visit clock offsets (:attr:`~repro.engine.kernel.ElementPlan.access_ticks`)
@@ -55,7 +56,11 @@ victim word sit at *different* sweep positions: within one block every
 row is visited exactly once, so the victim observes either the
 aggressor's pre-block state or its post-element trajectory, decided by a
 static visit-order bit, and inversion/idempotent flips collapse to a
-parity/any aggregate applied before or after the block's op loop.
+parity/any aggregate applied before or after the block's op loop.  The
+aggressor cell is the only cell outside its rows the lane reads, and
+cell uniqueness leaves it fault-free, so its bit follows the written
+words: the lane reads it from the packed stack once and carries it from
+block to block, which is why the table needs no other lane's state.
 Address-decoder and column-mux faults are not expressible (they rewire
 whole access paths); memories carrying them keep the reference fallback,
 exactly as before.
@@ -68,7 +73,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine.packing import lanes_for, np
+from repro.engine.packing import lanes_for, np, word_to_lanes
 from repro.telemetry.core import tracer as _tracer
 from repro.faults.base import (
     KIND_CF_ID,
@@ -175,15 +180,14 @@ class BucketLanes:
     """Three-way row partition of one geometry bucket.
 
     ``replay_masks`` rows take the behavioural replay lane (authoritative
-    state in the memory objects), ``table_masks`` rows are evaluated by
-    the compiled fault table, and ``clean_masks`` rows (including
+    state in the memory objects), ``clean_masks`` rows (including
     untainted aggressor-only rows, whose accesses are ideal) take the
-    plain block-op path.  Table and clean rows are authoritative in the
-    packed state and must be synced back after the session.
+    plain block-op path, and every other row is one of ``table``'s rows.
+    Table and clean rows are synced back from the packed state after the
+    session.
     """
 
     replay_masks: "np.ndarray"
-    table_masks: "np.ndarray"
     clean_masks: "np.ndarray"
     table: "CompiledFaultTable | None"
 
@@ -199,8 +203,8 @@ def lower_bucket(memories: "list[SRAM]") -> BucketLanes:
     The batched plan calls this only for buckets of at least
     :data:`repro.engine.batched.TABLE_MIN_HOOKED_ROWS` fault-hooked rows;
     smaller buckets replay every hooked row instead, as the numpy plan
-    does, since the table's evaluator calls cost fixed numpy work per
-    block whatever the row count.
+    does, since the table lane costs fixed numpy work per block whatever
+    the row count.
     """
     tr = _tracer()
     if tr.enabled:
@@ -227,7 +231,7 @@ def lower_bucket(memories: "list[SRAM]") -> BucketLanes:
         counters.add(
             "table.lowered_faults", sum(len(l) for l in lowered_by_member)
         )
-    return BucketLanes(replay, table_rows, ~(replay | table_rows), table)
+    return BucketLanes(replay, ~(replay | table_rows), table)
 
 
 #: The lowered-fault kinds a compiled table evaluates.
@@ -332,14 +336,13 @@ def _or_flips(planes, codes, group: _Group) -> None:
 class _BlockContext:
     """Per-block scratch: row subset, positions and coupling schedules.
 
-    ``rows`` are the block's table rows in the flat state; ``sub`` selects
-    them from the table's planes (``None`` on full blocks, which visit
-    every row and use the planes as they are).
+    ``idx`` are the block's table rows; ``sub`` selects them from the
+    lane's rows and the table's planes (``None`` on full blocks, which
+    visit every row and use both as they are).
     """
 
     idx: "np.ndarray"
     positions: "np.ndarray"
-    rows: "np.ndarray"
     sub: "np.ndarray | None"
     cf_in_deferred: "np.ndarray | None" = None
     cf_id_deferred: "np.ndarray | None" = None
@@ -464,24 +467,26 @@ class CompiledFaultTable:
 
 
 class TableEvaluator:
-    """Evaluates a compiled table element by element over a bucket session.
+    """Runs a compiled table as a lane of its own over one stack session.
 
-    Drives the same block decomposition as the clean-row path: the caller
-    announces each element (:meth:`start_element`) and each block
-    (:meth:`start_block`), brackets every write op with
-    :meth:`prepare_write` / :meth:`commit_write` around its slab
-    assignment, collects raw read mismatches from :meth:`read_op`, and
-    closes the block with :meth:`end_block` (deferred coupling flips).
+    The lane owns its rows: it gathers the stack's table rows once into a
+    ``(n_rows, lanes)`` state array, evaluates each whole march element
+    over them (:meth:`run_element`) and writes them back into the packed
+    stack when the session ends (:meth:`publish`), so the clean lane's
+    slab writes never reach them.  The only cells outside its rows it
+    reads are coupling aggressors, and cell uniqueness leaves those
+    fault-free: their bits follow the written words, so the lane reads
+    them once and carries them from block to block.
     """
 
-    def __init__(self, table: CompiledFaultTable, sweep_plan, states) -> None:
+    def __init__(
+        self, table: CompiledFaultTable, sweep_plan, states, memories
+    ) -> None:
         self.table = table
         self.words = table.words
-        # The bucket's stacked state, bound once per session: the flat
-        # (n_mem * words, lanes) view turns every gather/scatter into a
-        # single-index fancy operation.
-        self._states = states
+        self.sweep = sweep_plan.sweep
         self._flat = states.reshape(-1, states.shape[2])
+        self._rows = self._flat[table.rows_flat]
         # Per-direction sweep offsets of every table row and coupling
         # endpoint (block-independent for the blocks of one sweep; see
         # BucketSweep.full_block_offsets).
@@ -490,6 +495,8 @@ class TableEvaluator:
             for asc, offsets in sweep_plan.full_block_offsets.items()
         }
         self._group_off = {}
+        # Each coupling group's current aggressor bits.
+        self._agg = {}
         for name in ("cf_in", "cf_id", "cf_st"):
             group = getattr(table, name)
             if not group.size:
@@ -502,6 +509,8 @@ class TableEvaluator:
                 )
                 for asc, offsets in sweep_plan.full_block_offsets.items()
             }
+            lanes = self._flat[group.agg_flat, group.agg_lane]
+            self._agg[name] = (lanes & group.agg_mask) != 0
         # Per-direction sweep offsets of the stateless stateful groups.
         self._stateless_off = {}
         for name in ("int_read", "seu", "retention"):
@@ -512,66 +521,104 @@ class TableEvaluator:
                 asc: offsets[group.vic_word]
                 for asc, offsets in sweep_plan.full_block_offsets.items()
             }
+        # Retention clocks: each member's time base, each entry's period.
+        self._timebases = [memory.timebase for memory in memories]
+        self._ret_period = np.array(
+            [timebase.period_ns for timebase in self._timebases], dtype=np.float64
+        )[table.retention.member]
+        self._ret_base_now = None
+        self._plan = None
         self._element_write_lanes: list = []
         self._write_pairs: list = []
-        self._access_ticks: tuple = ()
-        self._per_address = 0
-        self._ret_base_now = None
-        self._ret_period = None
 
-    @property
-    def needs_timing(self) -> bool:
-        """Whether :meth:`start_element` needs analytic clock parameters.
+    def run_element(self, plan: "ElementPlan", write_lanes_per_op, hits) -> int:
+        """Evaluate one march element over the table rows.
 
-        True when retention entries are compiled: their decay decisions
-        need each member's element-start wall clock (``base_now``) and
-        cycle period, captured *before* the replay lane advances the
-        time bases to end-of-element.
+        Sweeps the wrap-around blocks of
+        :class:`~repro.engine.kernel.BucketSweep` in order.  Each block
+        fires the coupling flips the reference fires *before* the
+        victim's visit (aggressor earlier in the sweep), applies every op,
+        then fires the rest.  Raw read mismatches go to ``hits``
+        (:class:`~repro.engine.kernel.SessionHits`).  Retention entries
+        read each member's element-start clock, so this runs before the
+        replay lane ticks the element.  Returns the number of table-row
+        visits, the lane's word count.
         """
-        return self.table.retention.size > 0
-
-    # ------------------------------------------------------------------ #
-    # Element / block lifecycle                                          #
-    # ------------------------------------------------------------------ #
-    def start_element(
-        self, plan: "ElementPlan", write_lanes_per_op, base_now=None, periods=None
-    ) -> None:
-        """Cache the element's write lanes and plane pairs, ticks and clocks."""
         table = self.table
+        lanes = table.lanes
+        words, sweep = self.words, self.sweep
+        self._plan = plan
         self._element_write_lanes = write_lanes_per_op
         self._write_pairs = [
             None if written is None else table.write_pair(written, op_plan.op.is_nwrc)
             for written, op_plan in zip(write_lanes_per_op, plan.ops)
         ]
-        self._access_ticks = plan.access_ticks
-        self._per_address = plan.per_address_ticks
         ret = table.retention
         if ret.size:
-            if base_now is None or periods is None:
-                raise ValueError(
-                    "retention entries require base_now/periods timing arrays"
-                )
-            self._ret_base_now = base_now[ret.member]
-            self._ret_period = periods[ret.member]
+            # The replay lane's ``tick(deliver_ticks)`` as one float expression.
+            self._ret_base_now = np.array(
+                [
+                    timebase.now_ns + plan.deliver_ticks * timebase.period_ns
+                    for timebase in self._timebases
+                ],
+                dtype=np.float64,
+            )[ret.member]
+        step = plan.step_index
+        visits = 0
+        for block_start in range(0, sweep, words):
+            wrapped = block_start >= words
+            ctx = self._start_block(
+                plan.ascending, block_start, min(words, sweep - block_start)
+            )
+            visits += ctx.idx.size
+            for op_index, op_plan in enumerate(plan.ops):
+                operation = op_plan.op
+                if operation.is_read:
+                    expected = (
+                        op_plan.expected_wrapped if wrapped else op_plan.expected_plain
+                    )
+                    expected_lanes = word_to_lanes(expected, lanes)
+                    self._read(ctx, expected_lanes, step, op_index, hits)
+                else:
+                    written = write_lanes_per_op[op_index]
+                    self._write(ctx, written, operation.is_nwrc, op_index)
+            # Coupling flips the reference fires after the victim visit.
+            if ctx.cf_in_deferred is not None:
+                self._flip(table.cf_in, ctx.cf_in_deferred)
+            if ctx.cf_id_deferred is not None:
+                group = table.cf_id
+                self._force(self._rows, group.vic_row, group, ctx.cf_id_deferred)
+        return visits
 
-    def start_block(self, plan, block_start: int, block_len: int):
+    def publish(self) -> None:
+        """Write the lane's rows into the packed stack after the last element.
+
+        The stack's table rows then sync back with its clean rows, and
+        :meth:`CompiledFaultTable.sync_fault_state` hands the advanced
+        draw counters and decay clocks to the fault objects.
+        """
+        self._flat[self.table.rows_flat] = self._rows
+        self.table.sync_fault_state()
+
+    # ------------------------------------------------------------------ #
+    # Blocks and operations                                              #
+    # ------------------------------------------------------------------ #
+    def _start_block(self, asc: bool, block_start: int, block_len: int):
         """Resolve the block's row subset and coupling schedules.
 
         Applies the coupling flips that the reference would fire *before*
-        the victim's visit (aggressor earlier in the sweep) and defers the
-        rest to :meth:`end_block`.
+        the victim's visit and returns the rest as deferred selections.
         """
         table = self.table
-        asc = plan.ascending
         off = self.row_off[asc]
         full = block_len == self.words
         if full:
             idx = table._all_idx
-            ctx = _BlockContext(idx, block_start + off, table.rows_flat, None)
+            ctx = _BlockContext(idx, block_start + off, None)
         else:
             sel = off < block_len
             idx = table._all_idx[sel]
-            ctx = _BlockContext(idx, block_start + off[sel], table.rows_flat[idx], idx)
+            ctx = _BlockContext(idx, block_start + off[sel], idx)
 
         if not self._group_off and not self._stateless_off:
             return ctx
@@ -603,15 +650,16 @@ class TableEvaluator:
             agg_off, vic_off, before = self._group_off[name][asc]
             agg_in = agg_off < block_len
             vic_in = vic_off < block_len
-            agg_pre = self._gather_agg(group)
-            events, _ = self._schedule(group, agg_pre, agg_in, mode)
+            events, self._agg[name] = self._schedule(
+                group, self._agg[name], agg_in, mode
+            )
             immediate = events & agg_in & vic_in & before
             deferred = events & agg_in & ~(vic_in & before)
             if name == "cf_in":
-                self._flip_victims(group, immediate)
+                self._flip(group, immediate)
                 ctx.cf_in_deferred = deferred
             else:
-                self._force_victims(group, immediate)
+                self._force(self._rows, group.vic_row, group, immediate)
                 ctx.cf_id_deferred = deferred
 
         group = table.cf_st
@@ -619,8 +667,9 @@ class TableEvaluator:
             agg_off, vic_off, before = self._group_off["cf_st"][asc]
             agg_in = agg_off < block_len
             vic_in = vic_off < block_len
-            agg_pre = self._gather_agg(group)
+            agg_pre = self._agg["cf_st"]
             _, agg_post = self._schedule(group, agg_pre, agg_in, None)
+            self._agg["cf_st"] = agg_post
             use_post = agg_in & vic_in & before
             effective = np.where(use_post, agg_post, agg_pre)
             ctx.cfst_active = effective == group.state
@@ -628,41 +677,24 @@ class TableEvaluator:
             ctx.cfst_vic_sub = sub_map[group.vic_row]
         return ctx
 
-    def end_block(self, ctx: _BlockContext) -> None:
-        """Apply coupling flips the reference fires after the victim visit."""
-        if ctx.cf_in_deferred is not None:
-            self._flip_victims(self.table.cf_in, ctx.cf_in_deferred)
-        if ctx.cf_id_deferred is not None:
-            self._force_victims(self.table.cf_id, ctx.cf_id_deferred)
+    def _write(self, ctx: _BlockContext, write_lanes, is_nwrc, op_index) -> None:
+        """Write ``write_lanes`` over the block's table rows.
 
-    # ------------------------------------------------------------------ #
-    # Operations                                                         #
-    # ------------------------------------------------------------------ #
-    def prepare_write(self, ctx: _BlockContext, write_lanes, is_nwrc, op_index=0):
-        """Corrected post-write state of the block's table rows.
-
-        Gathers the *old* state (call before the caller's slab
-        assignment clobbers it), applies the write's plane pair (cached
-        by :meth:`start_element` under ``op_index``) and any state
-        coupling, moves the retention decay clocks and returns the rows
-        to scatter back via :meth:`commit_write`.
+        Applies the write's plane pair and any state coupling, and moves
+        the retention decay clocks.
         """
         table = self.table
         if not ctx.idx.size:
-            return None
-        new = self._apply(ctx, self._write_pairs[op_index], self._flat[ctx.rows])
+            return
+        old = self._rows if ctx.sub is None else self._rows[ctx.idx]
+        new = self._apply(ctx, self._write_pairs[op_index], old)
         group = table.cf_st
-        if group.size and ctx.cfst_active is not None:
+        if ctx.cfst_active is not None:
             sel = ctx.cfst_active & group.affects_write & ctx.cfst_vic_in
-            if sel.any():
-                self._scatter_forced(
-                    new,
-                    (ctx.cfst_vic_sub[sel], group.vic_lane[sel]),
-                    group.vic_mask[sel],
-                    group.forced[sel],
-                )
+            self._force(new, ctx.cfst_vic_sub, group, sel)
+        self._store(ctx, new)
         ret = table.retention
-        if ret.size and ctx.ret_in is not None:
+        if ctx.ret_in is not None:
             new_bits = (write_lanes[ret.vic_lane] & ret.vic_mask) != 0
             to_fragile = new_bits == ret.fragile
             if is_nwrc:
@@ -675,79 +707,52 @@ class TableEvaluator:
                 start = ctx.ret_in & to_fragile
                 ret.written_at[start] = now[start]
                 ret.written_at[ctx.ret_in & ~to_fragile] = math.nan
-        return new
 
-    def commit_write(self, ctx: _BlockContext, corrected) -> None:
-        """Publish :meth:`prepare_write`'s rows over the slab assignment."""
-        if corrected is None:
-            return
-        self._flat[ctx.rows] = corrected
-
-    def read_op(self, ctx: _BlockContext, expected_lanes, op_index=0):
-        """Evaluate one read over the block's table rows.
+    def _read(self, ctx: _BlockContext, expected_lanes, step, op_index, hits) -> None:
+        """Read the block's table rows, adding raw mismatches to ``hits``.
 
         Order mirrors the reference hook chain: retention decay and SEU
-        strikes commit to the packed state *before* the stored gather (so
-        every downstream plane sees the flipped cell, and destructive
-        reads preserve the flip), intermittent read upsets perturb only
-        the observed word.  Commits destructive-read flips to the packed
-        state and returns ``(members, words, positions, observed)``
-        parallel arrays over the mismatching rows (``observed`` as raw
-        ``(n, lanes)`` planes; any on-die ECC decode runs once per session
-        in :meth:`repro.engine.kernel.SessionHits.logs`), or ``None`` when
-        every row read back as expected.
+        strikes commit to the lane's rows *before* the stored bits are
+        taken (so every downstream plane sees the flipped cell, and
+        destructive reads preserve the flip), intermittent read upsets
+        perturb only the observed word, and a destructive read's
+        after-read bits commit last.
         """
         table = self.table
         idx = ctx.idx
         if not idx.size:
-            return None
+            return
         ret = table.retention
-        if ret.size and ctx.ret_in is not None:
+        if ctx.ret_in is not None:
             live = ctx.ret_in & np.isfinite(ret.written_at)
             if live.any():
                 now = self._op_now(ctx, op_index)
                 stored_bits = (
-                    self._flat[ret.vic_flat, ret.vic_lane] & ret.vic_mask
+                    self._rows[ret.vic_row, ret.vic_lane] & ret.vic_mask
                 ) != 0
                 decayed = (
                     live
                     & (stored_bits == ret.fragile)
                     & (now - ret.written_at >= ret.retention_ns)
                 )
-                if decayed.any():
-                    np.bitwise_xor.at(
-                        self._flat,
-                        (ret.vic_flat[decayed], ret.vic_lane[decayed]),
-                        ret.vic_mask[decayed],
-                    )
-                    ret.written_at[decayed] = math.nan
+                self._flip(ret, decayed)
+                ret.written_at[decayed] = math.nan
         seu = table.seu
-        if seu.size and ctx.seu_in is not None:
+        if ctx.seu_in is not None:
             upset = (
                 _counter_bernoulli_mask(seu.seed, seu.counter, seu.probability)
                 & ctx.seu_in
             )
             seu.counter[ctx.seu_in] += np.uint64(1)
-            if upset.any():
-                np.bitwise_xor.at(
-                    self._flat,
-                    (seu.vic_flat[upset], seu.vic_lane[upset]),
-                    seu.vic_mask[upset],
-                )
-        stored = self._flat[ctx.rows]
+            self._flip(seu, upset)
+        stored = self._rows if ctx.sub is None else self._rows[idx]
         observed = self._apply(ctx, table.observed_pair, stored)
         group = table.cf_st
-        if group.size and ctx.cfst_active is not None:
+        if ctx.cfst_active is not None:
             sel = ctx.cfst_active & ctx.cfst_vic_in
-            if sel.any():
-                self._scatter_forced(
-                    observed,
-                    (ctx.cfst_vic_sub[sel], group.vic_lane[sel]),
-                    group.vic_mask[sel],
-                    group.forced[sel],
-                )
+            self._force(observed, ctx.cfst_vic_sub, group, sel)
         intg = table.int_read
-        if intg.size and ctx.int_in is not None:
+        if ctx.int_in is not None:
             upset = (
                 _counter_bernoulli_mask(intg.seed, intg.counter, intg.probability)
                 & ctx.int_in
@@ -760,15 +765,21 @@ class TableEvaluator:
                     intg.vic_mask[upset],
                 )
         if table.after_read_pair is not None:
-            self._flat[ctx.rows] = self._apply(ctx, table.after_read_pair, stored)
+            self._store(ctx, self._apply(ctx, table.after_read_pair, stored))
         mismatch = (observed != expected_lanes).any(axis=1)
         if not mismatch.any():
-            return None
+            return
         hit_idx = np.nonzero(mismatch)[0]
         rows = idx[hit_idx]
-        members = table.rows_member[rows]
-        words = table.rows_word[rows]
-        return members, words, ctx.positions[hit_idx], observed[hit_idx]
+        hits.add(
+            table.rows_member[rows],
+            step,
+            op_index,
+            ctx.positions[hit_idx],
+            table.rows_word[rows],
+            expected_lanes,
+            observed[hit_idx],
+        )
 
     @staticmethod
     def _apply(ctx: _BlockContext, pair, old):
@@ -782,28 +793,31 @@ class TableEvaluator:
         set_, keep = pair
         return (old & keep) | (~old & set_)
 
+    def _store(self, ctx: _BlockContext, new) -> None:
+        """Commit the block's rows."""
+        if ctx.sub is None:
+            self._rows = new
+        else:
+            self._rows[ctx.idx] = new
+
     def _op_now(self, ctx: _BlockContext, op_index: int):
         """Analytic wall clock of op ``op_index`` at each retention entry.
 
         Replay ticks the time base *before* each access, so op ``j`` at
         sweep position ``p`` lands at ``element_base + p * per_address +
         access_ticks[j]`` cycles; ``base_now`` is each member's wall
-        clock at element start (including delivery ticks), captured
-        before the replay lane advanced it.  For the power-of-two-scaled
+        clock at element start (including delivery ticks), taken before
+        the replay lane advances it.  For the power-of-two-scaled
         periods the configurations use, the single multiply-add below
         reproduces the replay lane's accumulated float bit-for-bit.
         """
-        ticks = ctx.ret_pos * self._per_address + self._access_ticks[op_index]
+        plan = self._plan
+        ticks = ctx.ret_pos * plan.per_address_ticks + plan.access_ticks[op_index]
         return self._ret_base_now + ticks.astype(np.float64) * self._ret_period
 
     # ------------------------------------------------------------------ #
     # Coupling internals                                                 #
     # ------------------------------------------------------------------ #
-    def _gather_agg(self, group: _CouplingGroup):
-        """Current aggressor bits as booleans (entries,)."""
-        lanes = self._flat[group.agg_flat, group.agg_lane]
-        return (lanes & group.agg_mask) != 0
-
     def _schedule(self, group: _CouplingGroup, agg_pre, agg_in, mode):
         """Analytic aggressor trajectory over the element's write ops.
 
@@ -811,7 +825,7 @@ class TableEvaluator:
         fault of its own (cell uniqueness): its bit simply tracks each
         write word.  Returns the aggregated trigger events (parity for
         ``"xor"``, any-fired for ``"or"``, ``None`` otherwise) and the
-        post-element bits.
+        post-block bits.
         """
         current = agg_pre.copy()
         events = None if mode is None else np.zeros(group.size, dtype=bool)
@@ -829,29 +843,26 @@ class TableEvaluator:
             current = np.where(agg_in, new, current)
         return events, current
 
-    def _flip_victims(self, group: _CouplingGroup, sel) -> None:
+    def _flip(self, group: _Group, sel) -> None:
+        """Invert the selected entries' victim bits in the lane's rows."""
         if not sel.any():
             return
         np.bitwise_xor.at(
-            self._flat,
-            (group.vic_flat[sel], group.vic_lane[sel]),
+            self._rows,
+            (group.vic_row[sel], group.vic_lane[sel]),
             group.vic_mask[sel],
-        )
-
-    def _force_victims(self, group: _CouplingGroup, sel) -> None:
-        if not sel.any():
-            return
-        self._scatter_forced(
-            self._flat,
-            (group.vic_flat[sel], group.vic_lane[sel]),
-            group.vic_mask[sel],
-            group.forced[sel],
         )
 
     @staticmethod
-    def _scatter_forced(target, index, masks, forced) -> None:
-        """Set/clear per-entry bit masks at ``index`` according to ``forced``."""
-        set_masks = np.where(forced, masks, np.uint64(0))
-        clear_masks = np.where(forced, np.uint64(0), masks)
-        np.bitwise_or.at(target, index, set_masks)
-        np.bitwise_and.at(target, index, ~clear_masks)
+    def _force(target, rows, group: _CouplingGroup, sel) -> None:
+        """Force the selected entries' victim bits to their coupled value.
+
+        ``rows`` holds each entry's victim row in ``target``.
+        """
+        if not sel.any():
+            return
+        index = (rows[sel], group.vic_lane[sel])
+        masks = group.vic_mask[sel]
+        forced = group.forced[sel]
+        np.bitwise_or.at(target, index, np.where(forced, masks, np.uint64(0)))
+        np.bitwise_and.at(target, index, ~np.where(forced, np.uint64(0), masks))

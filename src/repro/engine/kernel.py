@@ -14,7 +14,8 @@ backend one-deep stacks with every fault-hooked row on behavioural
 replay, the batched tier (:mod:`repro.engine.batched`) same-geometry
 stacks, plus a compiled fault table (:mod:`repro.engine.fault_table`)
 for stacks with enough fault-hooked rows.  Each row of a stack takes one
-of three lanes:
+of three lanes, and per element the lanes run one after another, each
+over its own rows -- table, replay, clean:
 
 * **Clean rows** -- no fault hook can fire there
   (:meth:`repro.memory.SRAM.hooked_words`) -- behave ideally, so a whole
@@ -26,9 +27,12 @@ of three lanes:
   also fixes the wrapped-expectation flag per block).
 * **Table rows** -- rows whose faults all lower, in a batched stack of
   at least :data:`repro.engine.batched.TABLE_MIN_HOOKED_ROWS` hooked
-  rows -- are evaluated by the compiled fault table as masked vector ops
-  inside the same blocks.  Smaller stacks compile no table, since its
-  fixed per-block cost outweighs replaying a few rows.
+  rows -- run as a lane of their own
+  (:class:`~repro.engine.fault_table.TableEvaluator`): their state lives
+  in the lane's own array, each element is evaluated over them as masked
+  vector ops over the same blocks, and the rows are published into the
+  packed stack when the run ends.  Smaller stacks compile no table,
+  since its fixed per-block cost outweighs replaying a few rows.
 * **Replay rows** go through the behavioural access path
   (:meth:`~repro.memory.SRAM.replay_read` /
   :meth:`~repro.memory.SRAM.replay_write`) in exact sweep order, with
@@ -50,18 +54,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.failure_log import FailureLog, unpack_columns
 from repro.ecc.vector import apply_corrections, decode_session
+from repro.engine.fault_table import TableEvaluator
 from repro.engine.packing import np, pack_bank, pack_state, word_to_lanes
 from repro.march.algorithm import PauseStep
 from repro.march.ops import Operation
 from repro.memory.sram import SRAM
 from repro.telemetry.core import tracer as _tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.fault_table import TableEvaluator
 
 
 def sync_clean_rows(memory: SRAM, state, clean_mask) -> None:
@@ -400,18 +401,21 @@ def run_element_batched(
     sweep_plan: BucketSweep,
     hits: SessionHits,
     tracker: CleanWordTracker,
-    evaluator: "TableEvaluator | None" = None,
+    evaluator: TableEvaluator | None = None,
 ) -> None:
     """Execute one element over a same-geometry stack of memories.
 
-    ``states`` is the packed ``(n_mem, words, lanes)`` array --
-    authoritative for clean and fault-table rows (behavioural-replay rows
-    live in the memory objects).  ``evaluator`` is the stack's compiled
-    fault table (:mod:`repro.engine.fault_table`), evaluated inside the
-    same block decomposition as the clean rows; ``tracker`` (one per
-    run) skips clean compares that provably cannot mismatch.  Every raw
-    mismatch lands in ``hits`` under its stack member; any on-die ECC
-    decode runs once per run, in :meth:`SessionHits.logs`.
+    Three lanes run one after another, each over its own rows: the
+    stack's compiled fault table ``evaluator`` (its rows in its own
+    state), behavioural replay (its rows in the memory objects), then the
+    clean rows of the packed ``(n_mem, words, lanes)`` ``states``.  The
+    table goes first because its retention entries read each member's
+    element-start clock, which the replay lane advances.  ``tracker``
+    (one per run) skips clean compares that provably cannot mismatch.
+    Every raw mismatch lands in ``hits`` under its stack member, and
+    :meth:`SessionHits.logs` sorts them into reference order, so the
+    order of the lanes never reaches a log; any on-die ECC decode runs
+    once per run, in :meth:`SessionHits.logs` too.
     """
     words = sweep_plan.words
     sweep = sweep_plan.sweep
@@ -422,31 +426,24 @@ def run_element_batched(
     positions = sweep_plan.positions
     local_rows = sweep_plan.local_rows[plan.ascending]
     dirty_positions = sweep_plan.dirty_positions[plan.ascending]
-
-    # Retention entries need each member's element-start wall clock and
-    # cycle period, captured *before* the replay loop below advances the
-    # time bases to end-of-element.  The expression mirrors the replay
-    # lane's ``tick(deliver_ticks)`` float arithmetic exactly.
-    base_now = periods = None
-    if evaluator is not None and evaluator.needs_timing:
-        base_now = np.array(
-            [
-                memory.timebase.now_ns
-                + plan.deliver_ticks * memory.timebase.period_ns
-                for memory in memories
-            ],
-            dtype=np.float64,
-        )
-        periods = np.array(
-            [memory.timebase.period_ns for memory in memories], dtype=np.float64
-        )
+    write_lanes_per_op = [
+        None if op_plan.op.is_read else word_to_lanes(op_plan.write_word, lanes)
+        for op_plan in ops
+    ]
 
     tr = _tracer()
     telem = tr.enabled
     if telem:
         counters = tr.counters
-        clean_total = int(clean_masks.sum())
-        replay_started = time.perf_counter_ns()
+        started = time.perf_counter_ns()
+
+    if evaluator is not None:
+        table_words = evaluator.run_element(plan, write_lanes_per_op, hits)
+        if telem:
+            now = time.perf_counter_ns()
+            counters.add("lane.table.ns", now - started)
+            counters.add("lane.table.words", table_words)
+            started = now
 
     # Replay rows: per-memory behavioural replay in exact sweep order and
     # time; every other row's share of each schedule is pure clocking.
@@ -470,23 +467,18 @@ def run_element_batched(
         timebase.tick(base_cycles + sweep * per_address - timebase.cycles)
 
     if telem:
-        vector_started = time.perf_counter_ns()
-        replay_words = sum(len(member) for member in dirty_positions)
-        counters.add("lane.replay.ns", vector_started - replay_started)
-        counters.add("lane.replay.words", replay_words)
-        table_ns_before = counters.get("lane.table.ns")
-        table_words_before = counters.get("lane.table.words")
+        now = time.perf_counter_ns()
+        counters.add("lane.replay.ns", now - started)
+        counters.add(
+            "lane.replay.words", sum(len(member) for member in dirty_positions)
+        )
+        started = now
+        clean_total = int(clean_masks.sum())
+        clean_words = 0
 
-    # Clean and table rows: fleet-wide vector ops, block-wise so
-    # wrap-around revisits never touch a row twice inside one
-    # assignment/compare.
-    write_lanes_per_op = [
-        None if op_plan.op.is_read else word_to_lanes(op_plan.write_word, lanes)
-        for op_plan in ops
-    ]
-    if evaluator is not None:
-        evaluator.start_element(plan, write_lanes_per_op, base_now, periods)
-    if clean_masks.any() or evaluator is not None:
+    # Clean rows: fleet-wide vector ops, block-wise so wrap-around
+    # revisits never touch a row twice inside one assignment/compare.
+    if clean_masks.any():
         for block_start in range(0, sweep, words):
             block_end = min(block_start + words, sweep)
             wrapped = block_start >= words
@@ -498,38 +490,32 @@ def run_element_batched(
             # to sweep positions through the precomputed offsets only
             # for mismatching rows.
             offsets = sweep_plan.full_block_offsets[plan.ascending]
-            ctx = (
-                evaluator.start_block(plan, block_start, block_end - block_start)
-                if evaluator is not None
-                else None
-            )
             if telem:
                 block_clean = (
                     clean_total if full else int(clean_masks[:, block_rows].sum())
                 )
+                clean_words += block_clean
             for op_index, op_plan in enumerate(ops):
                 if op_plan.op.is_read:
                     expected = (
                         op_plan.expected_wrapped if wrapped else op_plan.expected_plain
                     )
-                    expected_lanes = None
-                    if tracker.value != expected:
-                        expected_lanes = word_to_lanes(expected, lanes)
-                        if full:
-                            mismatch = (states != expected_lanes).any(axis=2)
-                            mismatch &= clean_masks
-                        else:
-                            mismatch = (states[:, block_rows] != expected_lanes).any(
-                                axis=2
-                            )
-                            mismatch &= clean_masks[:, block_rows]
-                        if telem:
-                            counters.add("clean.compares_done", block_clean)
-                    else:
-                        mismatch = None
+                    if tracker.value == expected:
                         if telem:
                             counters.add("clean.compares_skipped", block_clean)
-                    if mismatch is not None and mismatch.any():
+                        continue
+                    expected_lanes = word_to_lanes(expected, lanes)
+                    if full:
+                        mismatch = (states != expected_lanes).any(axis=2)
+                        mismatch &= clean_masks
+                    else:
+                        mismatch = (states[:, block_rows] != expected_lanes).any(
+                            axis=2
+                        )
+                        mismatch &= clean_masks[:, block_rows]
+                    if telem:
+                        counters.add("clean.compares_done", block_clean)
+                    if mismatch.any():
                         member_hits, row_hits = np.nonzero(mismatch)
                         if full:
                             hit_positions = block_start + offsets[row_hits]
@@ -545,56 +531,20 @@ def run_element_batched(
                             expected_lanes,
                             states[member_hits, row_hits],
                         )
-                    if ctx is not None:
-                        if expected_lanes is None:
-                            expected_lanes = word_to_lanes(expected, lanes)
-                        table_hits = evaluator.read_op(ctx, expected_lanes, op_index)
-                        if table_hits is not None:
-                            members, table_rows, table_positions, observed = table_hits
-                            hits.add(
-                                members,
-                                step,
-                                op_index,
-                                table_positions,
-                                table_rows,
-                                expected_lanes,
-                                observed,
-                            )
                 else:
-                    # Replay rows are never read from the packed state and
-                    # never synced back, so writing the whole block (or
-                    # slab) is safe and avoids a mask gather per memory;
-                    # table rows are re-published right after with their
-                    # fault-corrected values.
-                    write_lanes = write_lanes_per_op[op_index]
-                    corrected = (
-                        evaluator.prepare_write(
-                            ctx, write_lanes, op_plan.op.is_nwrc, op_index
-                        )
-                        if ctx is not None
-                        else None
-                    )
+                    # Only clean rows are read from the packed state, and
+                    # the table publishes its rows over it before the sync,
+                    # so writing the whole block (or slab) is safe and
+                    # avoids a mask gather per memory.
                     if full:
-                        states[:] = write_lanes
+                        states[:] = write_lanes_per_op[op_index]
                     else:
-                        states[:, block_rows] = write_lanes
+                        states[:, block_rows] = write_lanes_per_op[op_index]
                     tracker.value = op_plan.write_word
-                    if ctx is not None:
-                        evaluator.commit_write(ctx, corrected)
-            if ctx is not None:
-                evaluator.end_block(ctx)
 
     if telem:
-        # The vector section's time minus the evaluator's accumulated
-        # share is the clean lane's; the word balance mirrors it.
-        vector_ns = time.perf_counter_ns() - vector_started
-        table_ns = counters.get("lane.table.ns") - table_ns_before
-        table_words = counters.get("lane.table.words") - table_words_before
-        counters.add("lane.clean.ns", max(0, vector_ns - table_ns))
-        counters.add(
-            "lane.clean.words",
-            sweep * len(memories) - replay_words - table_words,
-        )
+        counters.add("lane.clean.ns", time.perf_counter_ns() - started)
+        counters.add("lane.clean.words", clean_words)
 
 
 def run_stack(
@@ -603,7 +553,6 @@ def run_stack(
     sweep_length: int,
     observers=None,
     lower=None,
-    evaluator_for=None,
 ) -> list[FailureLog]:
     """Run ``plans`` over one same-geometry stack: the one vector path.
 
@@ -616,9 +565,10 @@ def run_stack(
     ``lower(memories, hooked_masks)`` -- called with the packed stack's
     ``(n_mem, words)`` hooked-row masks -- returns a
     :class:`~repro.engine.fault_table.BucketLanes` partition: its table
-    rows then move onto the evaluator ``evaluator_for(table, sweep,
-    states)`` builds, and the table's fault state is published back
-    afterwards so multi-session flows resume exactly.
+    rows then run as a lane of their own
+    (:class:`~repro.engine.fault_table.TableEvaluator`), which publishes
+    its rows into the packed stack and its fault state onto the fault
+    objects afterwards, so multi-session flows resume exactly.
     """
     states, clean_masks, replay_masks, lanes = pack_bank(memories)
     vector_masks = clean_masks
@@ -628,7 +578,9 @@ def run_stack(
         replay_masks, clean_masks = split.replay_masks, split.clean_masks
         vector_masks, table = split.vector_masks, split.table
     sweep = BucketSweep(memories[0].words, sweep_length, replay_masks)
-    evaluator = None if table is None else evaluator_for(table, sweep, states)
+    evaluator = (
+        None if table is None else TableEvaluator(table, sweep, states, memories)
+    )
     tr = _tracer()
     if tr.enabled:
         counters = tr.counters
@@ -667,8 +619,8 @@ def run_stack(
                 run_element_batched(*element_args)
         else:
             run_element_batched(*element_args)
-    if table is not None:
-        table.sync_fault_state()
+    if evaluator is not None:
+        evaluator.publish()
     for member, memory in enumerate(memories):
         sync_clean_rows(memory, states[member], vector_masks[member])
     return hits.logs([memory.name for memory in memories], memories[0].bits, plans)

@@ -28,9 +28,12 @@ from repro.engine.session import (
     session_step_plans,
 )
 from repro.faults.base import (
+    KIND_CF_ID,
+    KIND_CF_IN,
     KIND_CF_ST,
     KIND_DRF,
     KIND_INT_READ,
+    KIND_SEU,
     KIND_STATIC,
     FaultClass,
     StaticCellFault,
@@ -56,6 +59,7 @@ from repro.march.library import march_c_minus, march_cw_nw, march_ss
 from repro.memory.bank import MemoryBank
 from repro.memory.geometry import CellRef, MemoryGeometry
 from repro.memory.sram import SRAM
+from repro.telemetry.core import activate, deactivate
 from repro.util.rng import make_rng
 
 
@@ -151,6 +155,12 @@ def inject_class(bank, label, seed) -> None:
             except StopIteration:
                 break
         injector.inject(memory, faults)
+
+
+@pytest.fixture
+def always_table(monkeypatch):
+    """Threshold 0: every hooked bucket compiles its table."""
+    monkeypatch.setattr(batched, "TABLE_MIN_HOOKED_ROWS", 0)
 
 
 def assert_sessions_identical(label, algorithm, seed, inject):
@@ -316,12 +326,10 @@ class TestHookDefinedStaticFault:
         assert (leaky.write_flips, leaky.nwrc_flips) == (0, 0)
         assert (leaky.read_flips, leaky.after_read_flips) == (0, 0b10)
 
+    @pytest.mark.usefixtures("always_table")
     @pytest.mark.parametrize("fault_type", [NwrcComplementCell, LeakyOneReadCell])
     @pytest.mark.parametrize("case", range(3))
-    def test_round_trips_on_the_table_lane(self, monkeypatch, fault_type, case):
-        # Threshold 0: every hooked bucket compiles its table.
-        monkeypatch.setattr(batched, "TABLE_MIN_HOOKED_ROWS", 0)
-
+    def test_round_trips_on_the_table_lane(self, fault_type, case):
         def inject(bank):
             injector = FaultInjector()
             for index, memory in enumerate(bank):
@@ -427,15 +435,18 @@ class TestPartition:
         )
         lanes = lower_bucket(memories)
         assert lanes.table is not None
+        table_masks = lanes.vector_masks & ~lanes.clean_masks
         assert lanes.replay_masks[0].nonzero()[0].tolist() == [2]
-        assert lanes.table_masks[0].nonzero()[0].tolist() == [1, 4]
+        assert table_masks[0].nonzero()[0].tolist() == [1, 4]
+        assert lanes.table.rows_flat.tolist() == [1, 4]
         assert lanes.clean_masks[0, 6]
         assert not lanes.replay_masks[1].any()
-        assert not lanes.table_masks[1].any()
+        assert not table_masks[1].any()
         assert lanes.vector_masks[0].sum() == 7
         assert lanes.vector_masks[1].all()
 
 
+@pytest.mark.usefixtures("always_table")
 @pytest.mark.parametrize("label", sorted(LOWERABLE_CLASSES))
 @pytest.mark.parametrize("case", range(3))
 class TestLoweredRoundTrip:
@@ -451,36 +462,73 @@ class TestLoweredRoundTrip:
         )
 
 
+def inject_mixed(bank, case) -> None:
+    """Every lowerable class on distinct cells, plus replay-lane neighbours."""
+    injector = FaultInjector()
+    seed = 0xABC + case
+    for index, memory in enumerate(bank):
+        # One picker per memory, so the classes land on distinct cells.
+        pick = cell_picker(memory.geometry, make_rng(seed * 1000 + index))
+        count = max(1, memory.geometry.cells // 26)
+        faults = []
+        for label in sorted(LOWERABLE_CLASSES):
+            rng = make_rng(seed * 1000 + index)
+            faults += [
+                LOWERABLE_CLASSES[label](memory.geometry, pick, rng)
+                for _ in range(count)
+            ]
+        rng = make_rng(0xDEF + case * 100 + index)
+        pick = cell_picker(memory.geometry, rng)
+        faults += [
+            DataRetentionFault(
+                pick(),
+                int(rng.integers(2)),
+                retention_ns=float(rng.integers(5, 200) * 10),
+            ),
+            IntermittentReadFault(pick(), 0.4, seed=case),
+        ]
+        # An intra-word coupling fault keeps the behavioural replay lane
+        # exercised alongside the table lane.
+        victim = pick()
+        aggressor = CellRef(victim.word, (victim.bit + 1) % memory.bits)
+        faults.append(InversionCouplingFault(aggressor, victim))
+        injector.inject(memory, faults)
+
+
+@pytest.mark.usefixtures("always_table")
 class TestMixedRoundTrip:
     """All lowerable classes together, plus behavioural-lane neighbours."""
 
     @pytest.mark.parametrize("case", range(4))
     def test_mixed_population_round_trips(self, case):
-        def inject(bank):
-            for label in sorted(LOWERABLE_CLASSES):
-                inject_class(bank, label, 0xABC + case)
-            injector = FaultInjector()
-            for index, memory in enumerate(bank):
-                rng = make_rng(0xDEF + case * 100 + index)
-                pick = cell_picker(memory.geometry, rng)
-                faults = [
-                    DataRetentionFault(
-                        pick(),
-                        int(rng.integers(2)),
-                        retention_ns=float(rng.integers(5, 200) * 10),
-                    ),
-                    IntermittentReadFault(pick(), 0.4, seed=case),
-                ]
-                # An intra-word coupling fault keeps the behavioural
-                # replay lane exercised alongside the table lane.
-                victim = pick()
-                aggressor = CellRef(victim.word, (victim.bit + 1) % memory.bits)
-                faults.append(InversionCouplingFault(aggressor, victim))
-                injector.inject(memory, faults)
+        tr = activate()
+        try:
+            assert_sessions_identical(
+                "mixed",
+                ALGORITHMS[case % len(ALGORITHMS)],
+                0x31 + case,
+                lambda bank: inject_mixed(bank, case),
+            )
+        finally:
+            deactivate()
+        assert tr.counters.get("lane.table.words") > 0
 
-        assert_sessions_identical(
-            "mixed", ALGORITHMS[case % len(ALGORITHMS)], 0x31 + case, inject
-        )
+    def test_cases_lower_every_kind(self):
+        kinds = set()
+        for case in range(4):
+            bank = bucket_bank(0x31 + case)
+            inject_mixed(bank, case)
+            for memory in bank:
+                kinds |= {spec.kind for spec in partition_faults(memory)[0]}
+        assert kinds == {
+            KIND_STATIC,
+            KIND_CF_IN,
+            KIND_CF_ID,
+            KIND_CF_ST,
+            KIND_INT_READ,
+            KIND_SEU,
+            KIND_DRF,
+        }
 
 
 class TestPlanCache:

@@ -6,8 +6,11 @@ installed in the test environment itself).
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+
+import repro
 
 BLOCKED_PRELUDE = """
 import sys
@@ -26,11 +29,19 @@ sys.meta_path.insert(0, _BlockNumpy())
 
 
 def run_without_numpy(body: str) -> subprocess.CompletedProcess:
+    # The child imports ``repro`` from where this process did, installed
+    # or not.
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.environ.get("PYTHONPATH")
     return subprocess.run(
         [sys.executable, "-c", BLOCKED_PRELUDE + body],
         capture_output=True,
         text=True,
         timeout=120,
+        env={
+            **os.environ,
+            "PYTHONPATH": source + (os.pathsep + path if path else ""),
+        },
     )
 
 
