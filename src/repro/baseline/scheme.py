@@ -13,11 +13,13 @@ Two execution modes:
   computed from the ground-truth fault list using the closed-form stream
   semantics (lowest failing address, extremal bit per direction).  This is
   exact for the iteration count and scales to the 512x100 case study.
-  Each memory's fault lists are sorted once per capture direction and
+  Each memory's ground truth is sorted once per capture direction and
   consumed from the front, so a session costs ``O(k log k)`` per memory.
-  The mode reads only the injector's lists and the bank's names and
-  dimensions -- never the memories' attached faults -- so it can run on
-  the very bank the proposed scheme diagnosed.
+  The mode reads only the injector's ground truth -- population rows as
+  class codes and primary cells, building objects only for the faults it
+  reports missed -- and the bank's names and dimensions, never the
+  memories' attached faults, so it can run on the very bank the proposed
+  scheme diagnosed.
 * **bit-accurate** (``bit_accurate=True``): every serial cycle is actually
   shifted through the faulty memory and a fault-free twin; localization
   uses the first observed stream mismatch.  Used by the test suite to
@@ -31,6 +33,7 @@ those sweeps.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from repro.baseline.diag_rsmarch import DiagRSMarch, min_iterations
@@ -41,6 +44,7 @@ from repro.baseline.timing import (
 )
 from repro.faults.base import Fault, M1_LOCALIZABLE_CLASSES
 from repro.faults.injector import FaultInjector
+from repro.faults.population import FAULT_CLASSES, FaultPopulation
 from repro.memory.bank import MemoryBank
 from repro.memory.geometry import CellRef
 from repro.memory.sram import SRAM
@@ -48,6 +52,7 @@ from repro.serial.bidirectional import BidirectionalSerialInterface
 from repro.serial.shift_register import ShiftDirection
 from repro.util.bitops import checkerboard, mask
 from repro.util.records import Record
+from repro.util.rng import np
 from repro.util.validation import require_positive
 
 
@@ -119,42 +124,99 @@ class BaselineReport(Record):
         return {f.cell for f in self.localized if f.memory_name == memory_name}
 
 
-def _primary_cell(fault: Fault) -> CellRef:
-    """The cell a localization event maps to (the fault's first victim)."""
-    return fault.victims[0]
+def _stable_order(words: list[int], bits: list[int]) -> list[int]:
+    """Indices sorted by ``(word, bit)``, ties in index order."""
+    if np is None:  # numpy-free installs hold single faults only
+        return sorted(range(len(words)), key=lambda i: (words[i], bits[i]))
+    return np.lexsort((bits, words)).tolist()
 
 
-class _CaptureQueue:
-    """One memory's pending faults, ordered once per capture direction.
+class _GroundTruth:
+    """One memory's injected faults as columns, in injection order.
+
+    ``codes`` are class codes (:data:`~repro.faults.population.FAULT_CLASSES`
+    indices) and ``words``/``bits`` each fault's primary cell, its first
+    victim, the cell a localization event maps to (-1 for a fault without
+    victims, which no capture takes).  Population rows enter as their
+    columns, single faults one by one.
+    """
+
+    __slots__ = ("entries", "codes", "words", "bits", "_starts")
+
+    def __init__(self, entries: list) -> None:
+        self.entries = entries
+        self.codes: list[int] = []
+        self.words: list[int] = []
+        self.bits: list[int] = []
+        self._starts: list[int] = []
+        for entry in entries:
+            self._starts.append(len(self.codes))
+            if isinstance(entry, FaultPopulation):
+                self.codes += entry.class_codes.tolist()
+                self.words += entry.victim_word.tolist()
+                self.bits += entry.victim_bit.tolist()
+            else:
+                self.codes.append(FAULT_CLASSES.index(entry.fault_class))
+                self.words.append(entry.victims[0].word if entry.victims else -1)
+                self.bits.append(entry.victims[0].bit if entry.victims else -1)
+
+    def fault(self, index: int) -> Fault:
+        """Fault ``index``'s object (population rows build theirs here)."""
+        slot = bisect.bisect_right(self._starts, index) - 1
+        entry = self.entries[slot]
+        if isinstance(entry, FaultPopulation):
+            return entry.fault(index - self._starts[slot])
+        return entry
+
+
+def _capture_records(
+    name: str, truth: _GroundTruth, members: list[int], limit: int
+) -> list[LocalizedFault]:
+    """One memory's localization records, in the order captures take them.
 
     The right-shift capture takes the lowest ``(word, -bit)`` primary cell
     and the left-shift capture the lowest ``(word, bit)``.  Both orders are
-    stable sorts of the injector's list, so among faults sharing a primary
-    cell the earlier one comes first -- the fault a ``min`` over the
-    remaining list would pick.  A fault taken in one order is skipped when
-    the other order reaches it.
+    stable sorts of the injector's order, so among faults sharing a
+    primary cell the earlier one comes first -- the fault a ``min`` over
+    the remaining list would pick.  A fault taken in one order is skipped
+    when the other order reaches it.  Iteration ``k`` takes the right
+    capture ``records[2k - 2]`` and the left capture ``records[2k - 1]``,
+    so the whole sequence is fixed up front (at most ``limit`` iterations
+    of it).
     """
-
-    __slots__ = ("name", "faults", "right", "left", "taken", "pending")
-
-    def __init__(self, name: str, faults: list[Fault]) -> None:
-        self.name = name
-        self.faults = faults
-        cells = [_primary_cell(fault) for fault in faults]
-        indices = range(len(faults))
-        self.right = iter(
-            sorted(indices, key=lambda i: (cells[i].word, -cells[i].bit))
+    if not members:
+        return []
+    words = [truth.words[i] for i in members]
+    bits = [truth.bits[i] for i in members]
+    orders = (
+        _stable_order(words, [-bit for bit in bits]),
+        _stable_order(words, bits),
+    )
+    cursors = [0, 0]
+    done = bytearray(len(members))
+    records: list[LocalizedFault] = []
+    for turn in range(min(len(members), 2 * limit)):
+        side = turn & 1
+        order, cursor = orders[side], cursors[side]
+        while done[order[cursor]]:
+            cursor += 1
+        cursors[side] = cursor
+        index = order[cursor]
+        done[index] = 1
+        records.append(
+            LocalizedFault(
+                name,
+                CellRef(words[index], bits[index]),
+                turn // 2 + 1,
+                _DIRECTIONS[side],
+                _CLASS_VALUES[truth.codes[members[index]]],
+            )
         )
-        self.left = iter(sorted(indices, key=lambda i: (cells[i].word, cells[i].bit)))
-        self.taken = [False] * len(faults)
-        self.pending = len(faults)
+    return records
 
-    def take(self, order) -> Fault:
-        """The first pending fault of ``order``, now taken."""
-        index = next(i for i in order if not self.taken[i])
-        self.taken[index] = True
-        self.pending -= 1
-        return self.faults[index]
+
+_DIRECTIONS = ("right", "left")
+_CLASS_VALUES = tuple(fault_class.value for fault_class in FAULT_CLASSES)
 
 
 class HuangJoneScheme:
@@ -231,58 +293,46 @@ class HuangJoneScheme:
         report: BaselineReport,
         max_iterations: int | None,
     ) -> None:
-        m1: list[_CaptureQueue] = []
-        drf: list[_CaptureQueue] = []
+        m1: list[list[LocalizedFault]] = []
+        drf: list[list[LocalizedFault]] = []
+        limit = max_iterations if max_iterations is not None else 10_000_000
+        localizable = [c in M1_LOCALIZABLE_CLASSES for c in FAULT_CLASSES]
+        retains = [c.is_retention for c in FAULT_CLASSES]
         for memory in self.bank:
-            faults = injector.faults_for(memory.name)
+            name = memory.name
+            truth = _GroundTruth(injector.entries(name))
+            codes = truth.codes
             m1.append(
-                _CaptureQueue(
-                    memory.name,
-                    [f for f in faults if f.fault_class in M1_LOCALIZABLE_CLASSES],
+                _capture_records(
+                    name,
+                    truth,
+                    [i for i, code in enumerate(codes) if localizable[code]],
+                    limit,
                 )
             )
-            retention = [f for f in faults if f.fault_class.is_retention]
+            retention = [i for i, code in enumerate(codes) if retains[code]]
             if report.include_drf:
-                drf.append(_CaptureQueue(memory.name, retention))
+                drf.append(_capture_records(name, truth, retention, limit))
             else:
-                report.missed.extend((memory.name, f) for f in retention)
+                report.missed.extend((name, truth.fault(i)) for i in retention)
             report.missed.extend(
-                (memory.name, f)
-                for f in faults
-                if f.fault_class not in M1_LOCALIZABLE_CLASSES
-                and not f.fault_class.is_retention
+                (name, truth.fault(i))
+                for i, code in enumerate(codes)
+                if not localizable[code] and not retains[code]
             )
 
         # Each iteration visits the M1 queues, then the DRF queues, in bank
-        # order; a drained queue is never visited again.
-        active = [queue for queue in m1 + drf if queue.pending]
-        limit = max_iterations if max_iterations is not None else 10_000_000
+        # order, localizing up to two faults per queue: the first mismatch
+        # of the right-shift stream (lowest failing address, highest
+        # defective bit) and of the left-shift stream.  A drained queue is
+        # never visited again.
+        active = [records for records in m1 + drf if records]
         while active and report.iterations < limit:
             report.iterations += 1
-            for queue in active:
-                self._localize_pair(report, queue)
-            active = [queue for queue in active if queue.pending]
-
-    def _localize_pair(self, report: BaselineReport, queue: _CaptureQueue) -> None:
-        """Localize up to two faults: first-per-direction stream captures.
-
-        The right-shift stream's first mismatch is at the lowest failing
-        address and, within that word, the highest defective bit; the
-        left-shift stream mirrors it.
-        """
-        for direction, order in (("right", queue.right), ("left", queue.left)):
-            if not queue.pending:
-                return
-            fault = queue.take(order)
-            report.localized.append(
-                LocalizedFault(
-                    queue.name,
-                    _primary_cell(fault),
-                    report.iterations,
-                    direction,
-                    fault.fault_class.value,
-                )
-            )
+            first = 2 * report.iterations - 2
+            for records in active:
+                report.localized += records[first : first + 2]
+            active = [records for records in active if len(records) > first + 2]
 
     # ------------------------------------------------------------------ #
     # Bit-accurate mode                                                  #

@@ -17,7 +17,7 @@ from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
 from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
-from repro.faults.population import sample_population
+from repro.faults.population import FaultPopulation, sample_population
 from repro.memory.sram import SRAM
 from repro.soc.chip import SoCConfig
 from repro.util.records import Record
@@ -29,9 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.bank import MemoryBank
 
 #: Population sampler: maps ``(bank_index, memory)`` to the faults to
-#: inject into that memory.  The default samples a uniform-rate
-#: population; scenario workloads plug in spatially-correlated samplers.
-PopulationSampler = Callable[[int, SRAM], "list[Fault]"]
+#: inject into that memory, a fault list or a columnar
+#: :class:`~repro.faults.population.FaultPopulation`.  The default samples
+#: a uniform-rate population; scenario workloads plug in
+#: spatially-correlated samplers.
+PopulationSampler = Callable[[int, SRAM], "list[Fault] | FaultPopulation"]
 
 
 @dataclass
@@ -120,25 +122,27 @@ class DiagnosisCampaign:
         #: ``O(k * n * c)`` -- intended for small geometries.
         self.baseline_bit_accurate = baseline_bit_accurate
         #: Per-bank-position faults as sampled: never attached, only
-        #: cloned (see :meth:`faulty_bank`).
-        self._pristine: list[list[Fault]] | None = None
+        #: copied (see :meth:`faulty_bank`).
+        self._pristine: list[list[Fault] | FaultPopulation] | None = None
 
-    def _default_sampler(self, index: int, memory: SRAM) -> list[Fault]:
+    def _default_sampler(self, index: int, memory: SRAM) -> FaultPopulation:
         """Uniform-rate population, seeded per bank position."""
         return sample_population(
             memory.geometry,
             self.defect_rate,
             profile=self.profile,
             rng=self.seed + index,
-        ).faults
+        )
 
     def faulty_bank(self) -> tuple["MemoryBank", FaultInjector]:
         """Build a fresh bank with this campaign's faults injected.
 
         The population is sampled once per campaign, on the first call,
         and kept pristine: every call materializes new SRAM instances and
-        injects fresh clones of those faults (stateful fault models must
-        not be shared between sessions).  A campaign builds one bank for
+        injects fresh copies of those faults (stateful fault models must
+        not be shared between sessions) -- a copy of a columnar
+        population's rows, attached as one record, or clones of a
+        sampler's fault list.  A campaign builds one bank for
         its proposed, repair and verification sessions -- or, for
         multi-session scenario flows, its chained
         diagnose/repair/retest stages -- and a second one only for a
@@ -152,7 +156,10 @@ class DiagnosisCampaign:
             ]
         injector = FaultInjector()
         for memory, faults in zip(bank, self._pristine):
-            injector.inject(memory, [fault.clone() for fault in faults])
+            if isinstance(faults, FaultPopulation):
+                injector.inject(memory, faults.copy())
+            else:
+                injector.inject(memory, [fault.clone() for fault in faults])
         return bank, injector
 
     def run(

@@ -83,14 +83,7 @@ class RepairController:
         # Repairing only an aggressor word is treated conservatively: the
         # remap may break just that coupling edge, but the victim cell
         # stays in the array, so the fault stays attached.
-        detached = [
-            fault
-            for fault in memory.cell_faults
-            if fault.victims
-            and {cell.word for cell in fault.victims} <= repaired_words
-        ]
-        memory.remove_cell_faults(detached)
-        return len(detached)
+        return memory.remove_covered_faults(words=repaired_words)
 
     def spare_usage(self) -> dict[str, tuple[int, int]]:
         """Per-memory (used, total) spare counts."""
@@ -199,14 +192,7 @@ class BisrController:
         # granularity: a fault leaves the access path only when every
         # victim cell sits in a replaced row or column.
         name = memory.name
-        detached = [
-            fault
-            for fault in memory.cell_faults
-            if fault.victims
-            and all(self.covered(name, cell) for cell in fault.victims)
-        ]
-        memory.remove_cell_faults(detached)
-        return len(detached)
+        return memory.remove_covered_faults(self.rows[name], self.cols[name])
 
     def repair_yield(self) -> float | None:
         """Fraction of repair-needing memories whose cells are all covered.

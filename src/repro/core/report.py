@@ -16,6 +16,7 @@ from repro.core.failure_log import FailureLog
 from repro.ecc.observer import EccMemorySummary
 from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
+from repro.faults.population import FaultPopulation
 from repro.march.simulator import FailureRecord
 from repro.memory.geometry import CellRef
 from repro.util.records import Record
@@ -134,15 +135,33 @@ class ProposedReport(Record):
         ]
 
     def localization_rate(self, injector: FaultInjector, fault_filter=None) -> float:
-        """Fraction of injected faults whose victims were localized."""
+        """Fraction of injected faults whose victims were localized.
+
+        Without a filter, population rows are tested as arrays: their
+        victim cell ids against the log's (no fault object is built).
+        """
         if fault_filter is None:
-            hits = [hit for _, _, hit in self._victim_hits(injector)]
+            hits = total = 0
+            for name in injector.memories():
+                log = self.failure_log(name)
+                cells = log.cell_ids()
+                cell_set = None
+                for entry in injector.entries(name):
+                    if isinstance(entry, FaultPopulation):
+                        hits += entry.victims_hit(cells, log.bits)
+                        total += entry.size
+                        continue
+                    if cell_set is None:
+                        cell_set = set(cells)
+                    hits += _any_victim_in(entry, cell_set, log.bits)
+                    total += 1
         else:
-            scores = self.score_against(injector)
-            hits = [score.localized for score in scores if fault_filter(score)]
-        if not hits:
+            scores = [s for s in self.score_against(injector) if fault_filter(s)]
+            hits = sum(score.localized for score in scores)
+            total = len(scores)
+        if not total:
             return 1.0
-        return sum(hits) / len(hits)
+        return hits / total
 
     def _victim_hits(
         self, injector: FaultInjector
@@ -151,15 +170,8 @@ class ProposedReport(Record):
         for name in injector.memories():
             log = self.failure_log(name)
             cells = set(log.cell_ids())
-            bits = log.bits
             for fault in injector.faults_for(name):
-                # ``bit < bits``: an out-of-width victim must not alias
-                # the next word's cell id.
-                hit = any(
-                    victim.bit < bits and victim.word * bits + victim.bit in cells
-                    for victim in fault.victims
-                )
-                yield name, fault, hit
+                yield name, fault, _any_victim_in(fault, cells, log.bits)
 
     def localized_cells(self, memory_name: str) -> list["LocalizedCell"]:
         """Per-cell localization evidence, strongest first.
@@ -201,6 +213,16 @@ class ProposedReport(Record):
             lines.append(f"  {name}: {len(self.failures[name])} failing reads, "
                          f"{len(cells)} distinct cells")
         return lines
+
+
+def _any_victim_in(fault: Fault, cells: set[int], bits: int) -> bool:
+    """Whether a victim of ``fault`` is among ``cells`` (``word * bits + bit``)."""
+    # ``bit < bits``: an out-of-width victim must not alias the next
+    # word's cell id.
+    return any(
+        victim.bit < bits and victim.word * bits + victim.bit in cells
+        for victim in fault.victims
+    )
 
 
 @dataclass(frozen=True)

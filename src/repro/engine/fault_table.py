@@ -68,9 +68,10 @@ exactly as before.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.engine.packing import lanes_for, np, word_to_lanes
@@ -85,6 +86,8 @@ from repro.faults.base import (
     KIND_STATIC,
     LoweredFault,
 )
+from repro.faults.defects import row_representative
+from repro.faults.population import ROW_COLUMNS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.kernel import ElementPlan
@@ -120,59 +123,297 @@ def _counter_bernoulli_mask(seeds, counters, probabilities):
     return (draw >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE < probabilities
 
 
+#: The lowered-fault kinds a compiled table evaluates; a kind code
+#: indexes this tuple.
+_TABLE_KINDS = (
+    KIND_STATIC, KIND_CF_IN, KIND_CF_ID, KIND_CF_ST, KIND_INT_READ, KIND_SEU, KIND_DRF
+)
+_KIND_CODE = {kind: code for code, kind in enumerate(_TABLE_KINDS)}
+
+#: The :class:`LoweredFault` fields a compiled table reads, bar the cells.
+_PARAMETERS = (
+    "value",
+    "rising",
+    "aggressor_state",
+    "affects_write",
+    "probability",
+    "seed",
+    "counter_base",
+    "retention_ns",
+    "write_flips",
+    "nwrc_flips",
+    "read_flips",
+    "after_read_flips",
+)
+
+
+@functools.cache
+def _row_lowering():
+    """Lowering votes and parameters per row key, as arrays.
+
+    Key ``((kind * 2 + value) * 2 + forced) * 2 + inter_word`` names a
+    row's :func:`~repro.faults.defects.row_representative`; its own
+    ``vector_lowerable()`` and ``lower()`` give the vote, kind code and
+    parameters of every row with that key.
+    """
+    votes, kinds = [], []
+    parameters = {name: [] for name in _PARAMETERS}
+    for key in range(6 * 8):
+        kind, rest = divmod(key, 8)
+        value, rest = divmod(rest, 4)
+        forced, inter_word = divmod(rest, 2)
+        fault = row_representative(kind, value, forced, bool(inter_word))
+        votes.append(fault.vector_lowerable())
+        spec = fault.lower()
+        kinds.append(_KIND_CODE[spec.kind])
+        for name in _PARAMETERS:
+            parameters[name].append(getattr(spec, name))
+    columns = {name: np.array(values) for name, values in parameters.items()}
+    columns["seed"] = columns["seed"].astype(np.uint64)
+    columns["counter_base"] = columns["counter_base"].astype(np.uint64)
+    arrays = (np.array(votes), np.array(kinds), *columns.values())
+    for array in arrays:
+        array.setflags(write=False)  # shared by every caller of the cache
+    return arrays[0], arrays[1], columns
+
+
+def _ints(values) -> "np.ndarray":
+    return np.array(values, dtype=np.int64)
+
+
+class _BucketFaults:
+    """Every cell fault attached to a same-geometry bucket, as entries.
+
+    Entries ``0 .. n_rows - 1`` are the live rows of the bucket's attached
+    populations, read from their columns; the rest are fault objects,
+    read through ``cells``, ``vector_lowerable()`` and ``lower()``.
+    ``cell_fault``/``cell_row``/``cell_key`` list every cell an entry
+    touches (victims and aggressors) and ``edge_a``/``edge_b`` the word
+    pairs coupling ties together, so the one partition rule
+    (:meth:`partition`) treats both alike.  Rows are ``member * words +
+    word`` flat indices of the bucket.
+    """
+
+    def __init__(self, memories: "list[SRAM]") -> None:
+        self.words = words = memories[0].words
+        self.bits = bits = memories[0].bits
+        self.populations: list = []
+        self.objects: list = []
+        pop_member: list[int] = []
+        obj_member: list[int] = []
+        for member, memory in enumerate(memories):
+            objects, populations = memory.fault_records()
+            self.objects += objects
+            obj_member += [member] * len(objects)
+            self.populations += populations
+            pop_member += [member] * len(populations)
+
+        pops = self.populations
+        sizes = [p.size for p in pops]
+        live = np.concatenate([p.live for p in pops] + [np.zeros(0, dtype=bool)])
+        columns = np.concatenate(
+            [p.columns for p in pops]
+            + [np.zeros((len(ROW_COLUMNS), 0), dtype=np.int64)],
+            axis=1,
+        )[:, live]
+        kind, victim_word, victim_bit, aggressor_word, aggressor_bit, value, forced = columns
+        self.victim_word, self.victim_bit = victim_word, victim_bit
+        self.aggressor_word, self.aggressor_bit = aggressor_word, aggressor_bit
+        self.row_key = ((kind * 2 + value) * 2 + forced) * 2 + (
+            aggressor_word != victim_word
+        )
+        self.pop_index = np.repeat(np.arange(len(pops)), sizes)[live]
+        self.pop_row = np.concatenate([np.arange(n) for n in sizes] + [_ints([])])[live]
+        self.n_rows = n_rows = len(victim_word)
+        self.member = np.concatenate(
+            [np.repeat(_ints(pop_member), sizes)[live], _ints(obj_member)]
+        )
+        self.vote = np.concatenate(
+            [
+                _row_lowering()[0][self.row_key],
+                np.array([f.vector_lowerable() for f in self.objects], dtype=bool),
+            ]
+        )
+
+        # Cells: row victims, row aggressors, then every object cell.
+        coupled = np.flatnonzero(aggressor_word >= 0)
+        obj_fault, obj_word, obj_bit = _ints(
+            [
+                (n_rows + index, cell.word, cell.bit)
+                for index, fault in enumerate(self.objects)
+                for cell in fault.cells
+            ]
+        ).reshape(-1, 3).T
+        self.cell_fault = np.concatenate([np.arange(n_rows), coupled, obj_fault])
+        self.cell_row = self.member[self.cell_fault] * words + np.concatenate(
+            [victim_word, aggressor_word[coupled], obj_word]
+        )
+        self.cell_key = self.cell_row * bits + np.concatenate(
+            [victim_bit, aggressor_bit[coupled], obj_bit]
+        )
+
+        # Coupling ties a row's victim and aggressor words, and an
+        # object's first cell's word to each other cell's.
+        entry, word_a, word_b = _ints(
+            [
+                (n_rows + index, fault.cells[0].word, cell.word)
+                for index, fault in enumerate(self.objects)
+                if fault.aggressors
+                for cell in fault.cells[1:]
+            ]
+        ).reshape(-1, 3).T
+        base = self.member * words
+        self.edge_a = np.concatenate(
+            [base[coupled] + victim_word[coupled], base[entry] + word_a]
+        )
+        self.edge_b = np.concatenate(
+            [base[coupled] + aggressor_word[coupled], base[entry] + word_b]
+        )
+
+    @property
+    def size(self) -> int:
+        """Number of entries (rows and objects)."""
+        return len(self.member)
+
+    def partition(self, n_members: int) -> tuple["np.ndarray", "np.ndarray"]:
+        """The one partition rule: ``(lowered entries, tainted flat rows)``.
+
+        Beyond each entry's own lowering vote, two structural constraints
+        apply:
+
+        * **cell uniqueness** -- a cell touched by two faults keeps every
+          involved fault behavioural, because their hooks chain
+          sequentially in attachment order;
+        * **lane cohesion** -- coupling ties its victim word to its
+          aggressor word (transitions on one mutate the other), so taint
+          propagates across coupling edges until both endpoints share a
+          lane.
+        """
+        size = self.size
+        _, inverse, counts = np.unique(
+            self.cell_key, return_inverse=True, return_counts=True
+        )
+        shared = np.bincount(
+            self.cell_fault, weights=counts[inverse] > 1, minlength=size
+        )
+        candidate = self.vote & (shared == 0)
+        tainted = np.zeros(n_members * self.words, dtype=bool)
+        tainted[self.cell_row[~candidate[self.cell_fault]]] = True
+        a, b = self.edge_a, self.edge_b
+        while True:
+            either = tainted[a] | tainted[b]
+            if not (either & ~(tainted[a] & tainted[b])).any():
+                break
+            tainted[a[either]] = True
+            tainted[b[either]] = True
+        touched = np.bincount(
+            self.cell_fault, weights=tainted[self.cell_row], minlength=size
+        )
+        return candidate & (touched == 0), tainted
+
+    def lowered_columns(self, lowered) -> "_LoweredColumns":
+        """The table columns of the ``lowered`` entries.
+
+        Rows take their kind and parameters from their key's
+        representative; objects lower themselves.
+        """
+        n_rows = self.n_rows
+        rows = np.flatnonzero(lowered[:n_rows])
+        objects = np.flatnonzero(lowered[n_rows:])
+        specs = [self.objects[index].lower() for index in objects.tolist()]
+        _, kinds, parameters = _row_lowering()
+        keys = self.row_key[rows]
+
+        def join(row_values, spec_values):
+            return np.concatenate(
+                [row_values, np.array(spec_values, dtype=row_values.dtype)]
+            )
+
+        return _LoweredColumns(
+            member=join(self.member[rows], self.member[n_rows + objects]),
+            victim_word=join(self.victim_word[rows], [s.victim.word for s in specs]),
+            victim_bit=join(self.victim_bit[rows], [s.victim.bit for s in specs]),
+            aggressor_word=join(
+                self.aggressor_word[rows],
+                [-1 if s.aggressor is None else s.aggressor.word for s in specs],
+            ),
+            aggressor_bit=join(
+                self.aggressor_bit[rows],
+                [-1 if s.aggressor is None else s.aggressor.bit for s in specs],
+            ),
+            kind=join(kinds[keys], [_kind_code(s.kind) for s in specs]),
+            populations=self.populations,
+            pop_index=join(self.pop_index[rows], [-1] * len(specs)),
+            pop_row=join(self.pop_row[rows], [-1] * len(specs)),
+            sources=[None] * len(rows) + [s.source for s in specs],
+            written_at=join(
+                np.full(len(rows), math.nan),
+                [math.nan if s.written_at_ns is None else s.written_at_ns for s in specs],
+            ),
+            parameters={
+                name: join(parameters[name][keys], [getattr(s, name) for s in specs])
+                for name in _PARAMETERS
+            },
+        )
+
+    def lowered_records(self, lowered) -> list[LoweredFault]:
+        """The ``lowered`` entries' :class:`LoweredFault` records.
+
+        Rows build their objects for this (an inspection path).
+        """
+        records = []
+        for index in np.flatnonzero(lowered).tolist():
+            if index < self.n_rows:
+                population = self.populations[int(self.pop_index[index])]
+                fault = population.fault(int(self.pop_row[index]))
+            else:
+                fault = self.objects[index - self.n_rows]
+            records.append(fault.lower())
+        return records
+
+
+def _kind_code(kind: str) -> int:
+    if kind not in _KIND_CODE:
+        raise ValueError(f"unknown lowered-fault kind {kind!r}")
+    return _KIND_CODE[kind]
+
+
+@dataclass
+class _LoweredColumns:
+    """The lowered entries of a bucket: cells, kind codes, parameters.
+
+    Row entries keep their state's home as ``(populations[pop_index],
+    pop_row)``; object entries have ``pop_index`` -1 and their source
+    object in ``sources`` (``None`` for rows).  ``written_at`` holds the
+    objects' decay clocks; the retention group reads the rows' from their
+    homes (:class:`_StatelessGroup`).
+    """
+
+    member: "np.ndarray"
+    victim_word: "np.ndarray"
+    victim_bit: "np.ndarray"
+    aggressor_word: "np.ndarray"
+    aggressor_bit: "np.ndarray"
+    kind: "np.ndarray"
+    populations: list
+    pop_index: "np.ndarray"
+    pop_row: "np.ndarray"
+    sources: list
+    written_at: "np.ndarray"
+    parameters: dict = field(default_factory=dict)
+
+
 def partition_faults(memory: "SRAM") -> tuple[list[LoweredFault], set[int]]:
     """Split one memory's cell faults into table and replay populations.
 
     Returns ``(lowered, replay_words)``: the lowered records of every
     fault the table may evaluate, and the word indices that must stay on
-    the behavioural replay lane.  Beyond each fault's own
-    ``vector_lowerable()`` vote, two structural constraints apply:
-
-    * **cell uniqueness** -- a cell touched by two faults keeps every
-      involved fault behavioural, because their hooks chain sequentially
-      in attachment order;
-    * **lane cohesion** -- coupling ties its victim word to its aggressor
-      word (transitions on one mutate the other), so taint propagates
-      across coupling edges until both endpoints share a lane.
+    the behavioural replay lane -- :func:`lower_bucket`'s rule
+    (:meth:`_BucketFaults.partition`) on a bucket of one.
     """
-    faults = memory.cell_faults
-    participation: dict[tuple[int, int], int] = {}
-    for fault in faults:
-        for cell in fault.cells:
-            key = (cell.word, cell.bit)
-            participation[key] = participation.get(key, 0) + 1
-
-    candidates: list = []
-    tainted: set[int] = set()
-    edges: list[tuple[int, ...]] = []
-    for fault in faults:
-        words = {cell.word for cell in fault.cells}
-        if fault.aggressors:
-            edges.append(tuple(words))
-        lowerable = fault.vector_lowerable() and all(
-            participation[(cell.word, cell.bit)] == 1 for cell in fault.cells
-        )
-        if lowerable:
-            candidates.append(fault)
-        else:
-            tainted |= words
-
-    changed = True
-    while changed:
-        changed = False
-        for words in edges:
-            if any(word in tainted for word in words) and not tainted.issuperset(
-                words
-            ):
-                tainted.update(words)
-                changed = True
-
-    lowered = [
-        fault.lower()
-        for fault in candidates
-        if all(cell.word not in tainted for cell in fault.cells)
-    ]
-    return lowered, tainted
+    faults = _BucketFaults([memory])
+    lowered, tainted = faults.partition(1)
+    return faults.lowered_records(lowered), set(np.flatnonzero(tainted).tolist())
 
 
 @dataclass
@@ -204,7 +445,8 @@ def lower_bucket(memories: "list[SRAM]") -> BucketLanes:
     :data:`repro.engine.batched.TABLE_MIN_HOOKED_ROWS` fault-hooked rows;
     smaller buckets replay every hooked row instead, as the numpy plan
     does, since the table lane costs fixed numpy work per block whatever
-    the row count.
+    the row count.  Population rows are partitioned and compiled from
+    their columns, so no fault object is built here.
     """
     tr = _tracer()
     if tr.enabled:
@@ -212,78 +454,58 @@ def lower_bucket(memories: "list[SRAM]") -> BucketLanes:
     n_mem = len(memories)
     words = memories[0].words
     bits = memories[0].bits
-    replay = np.zeros((n_mem, words), dtype=bool)
-    table_rows = np.zeros((n_mem, words), dtype=bool)
-    lowered_by_member: list[list[LoweredFault]] = []
-    for member, memory in enumerate(memories):
-        lowered, tainted = partition_faults(memory)
-        for word in tainted:
-            replay[member, word] = True
-        for spec in lowered:
-            table_rows[member, spec.victim.word] = True
-        lowered_by_member.append(lowered)
+    faults = _BucketFaults(memories)
+    lowered, tainted = faults.partition(n_mem)
+    replay = tainted.reshape(n_mem, words)
+    columns = faults.lowered_columns(lowered)
+    table_rows = np.zeros(n_mem * words, dtype=bool)
+    table_rows[columns.member * words + columns.victim_word] = True
     table = None
-    if any(lowered_by_member):
-        table = CompiledFaultTable(lowered_by_member, words, bits)
+    if columns.member.size:
+        table = CompiledFaultTable(columns, n_mem, words, bits)
     if tr.enabled:
         counters = tr.counters
         counters.add("table.compile.ns", time.perf_counter_ns() - started)
-        counters.add(
-            "table.lowered_faults", sum(len(l) for l in lowered_by_member)
-        )
-    return BucketLanes(replay, ~(replay | table_rows), table)
-
-
-#: The lowered-fault kinds a compiled table evaluates.
-_TABLE_KINDS = (
-    KIND_STATIC, KIND_CF_IN, KIND_CF_ID, KIND_CF_ST, KIND_INT_READ, KIND_SEU, KIND_DRF
-)
-
-
-def _cell_columns(members, cells, words: int):
-    """Flat row, word, lane and bitmask columns of parallel member/cell lists.
-
-    The flat row indexes the bucket state flattened to ``(n_mem * words,
-    lanes)`` -- one gather/scatter index instead of a (member, word) pair.
-    """
-    word = np.array([cell.word for cell in cells], dtype=np.int64)
-    bit = np.array([cell.bit for cell in cells], dtype=np.int64)
-    mask = np.uint64(1) << (bit % 64).astype(np.uint64)
-    return members * words + word, word, bit // 64, mask
+        counters.add("table.lowered_faults", int(columns.member.size))
+    return BucketLanes(replay, ~(replay | table_rows.reshape(n_mem, words)), table)
 
 
 class _Group:
     """Structure-of-arrays over one kind's lowered entries: the victims.
 
     ``vic_row`` (the victim's table row) is filled in by
-    :class:`CompiledFaultTable` once every group's rows are known.
+    :class:`CompiledFaultTable` once every group's rows are known.  The
+    flat row indexes the bucket state flattened to ``(n_mem * words,
+    lanes)`` -- one gather/scatter index instead of a (member, word) pair.
     """
 
-    def __init__(self, entries, words: int) -> None:
-        self.size = len(entries)
-        self.member = np.array([member for member, _ in entries], dtype=np.int64)
-        self.vic_flat, self.vic_word, self.vic_lane, self.vic_mask = _cell_columns(
-            self.member, [spec.victim for _, spec in entries], words
-        )
+    def __init__(self, columns: _LoweredColumns, sel, words: int) -> None:
+        self.sel = sel
+        self.size = len(sel)
+        self.member = columns.member[sel]
+        self.vic_word = columns.victim_word[sel]
+        self.vic_flat = self.member * words + self.vic_word
+        bit = columns.victim_bit[sel]
+        self.vic_lane = bit // 64
+        self.vic_mask = np.uint64(1) << (bit % 64).astype(np.uint64)
         self.vic_row = None
 
 
 class _CouplingGroup(_Group):
     """One coupling kind's entries: victim and aggressor cells, triggers."""
 
-    def __init__(self, entries, words: int) -> None:
-        super().__init__(entries, words)
-        self.agg_flat, self.agg_word, self.agg_lane, self.agg_mask = _cell_columns(
-            self.member, [spec.aggressor for _, spec in entries], words
-        )
-        self.rising = np.array([s.rising for _, s in entries], dtype=bool)
-        self.forced = np.array([s.value == 1 for _, s in entries], dtype=bool)
-        self.state = np.array(
-            [s.aggressor_state == 1 for _, s in entries], dtype=bool
-        )
-        self.affects_write = np.array(
-            [s.affects_write for _, s in entries], dtype=bool
-        )
+    def __init__(self, columns: _LoweredColumns, sel, words: int) -> None:
+        super().__init__(columns, sel, words)
+        self.agg_word = columns.aggressor_word[sel]
+        self.agg_flat = self.member * words + self.agg_word
+        bit = columns.aggressor_bit[sel]
+        self.agg_lane = bit // 64
+        self.agg_mask = np.uint64(1) << (bit % 64).astype(np.uint64)
+        parameters = columns.parameters
+        self.rising = parameters["rising"][sel].astype(bool)
+        self.forced = parameters["value"][sel] == 1
+        self.state = parameters["aggressor_state"][sel] == 1
+        self.affects_write = parameters["affects_write"][sel].astype(bool)
 
 
 class _StatelessGroup(_Group):
@@ -292,32 +514,34 @@ class _StatelessGroup(_Group):
     Beyond the victim coordinates this carries the analytic state the
     evaluator advances in place -- Bernoulli draw counters for the
     intermittent kinds, decay clocks (``written_at``, NaN = no pending
-    fragile write) for retention -- plus the source fault objects so
+    fragile write) for retention -- read from each entry's home (a
+    population row or a source object), so
     :meth:`CompiledFaultTable.sync_fault_state` can publish the final
-    state back after the session.
+    state back there after the session.
     """
 
-    def __init__(self, entries, words: int) -> None:
-        super().__init__(entries, words)
-        self.seed = np.array([s.seed for _, s in entries], dtype=np.uint64)
-        self.probability = np.array(
-            [s.probability for _, s in entries], dtype=np.float64
-        )
-        self.counter = np.array(
-            [s.counter_base for _, s in entries], dtype=np.uint64
-        )
-        self.fragile = np.array([s.value == 1 for _, s in entries], dtype=bool)
-        self.retention_ns = np.array(
-            [s.retention_ns for _, s in entries], dtype=np.float64
-        )
-        self.written_at = np.array(
-            [
-                math.nan if s.written_at_ns is None else s.written_at_ns
-                for _, s in entries
-            ],
-            dtype=np.float64,
-        )
-        self.sources = [s.source for _, s in entries]
+    def __init__(self, columns: _LoweredColumns, sel, words: int) -> None:
+        super().__init__(columns, sel, words)
+        parameters = columns.parameters
+        self.seed = parameters["seed"][sel].astype(np.uint64)
+        self.probability = parameters["probability"][sel].astype(np.float64)
+        self.counter = parameters["counter_base"][sel].astype(np.uint64)
+        self.fragile = parameters["value"][sel] == 1
+        self.retention_ns = parameters["retention_ns"][sel].astype(np.float64)
+        self.written_at = columns.written_at[sel]
+        self.sources = [columns.sources[i] for i in sel.tolist()]
+        # Row entries by population: (population, its rows, positions).
+        runs: dict[int, list[int]] = {}
+        for position, index in enumerate(columns.pop_index[sel].tolist()):
+            if index >= 0:
+                runs.setdefault(index, []).append(position)
+        pop_row = columns.pop_row[sel]
+        self.row_homes = [
+            (columns.populations[index], pop_row[positions], np.array(positions))
+            for index, positions in runs.items()
+        ]
+        for population, rows, positions in self.row_homes:
+            self.written_at[positions] = population.drf_clocks(rows)
 
 
 def _or_flips(planes, codes, group: _Group) -> None:
@@ -364,24 +588,20 @@ class CompiledFaultTable:
     the coupling and stateful kinds keep per-entry columns.
     """
 
-    def __init__(self, lowered_by_member, words: int, bits: int) -> None:
+    def __init__(self, columns: _LoweredColumns, n_members: int, words: int, bits: int) -> None:
         self.words = words
         self.lanes = lanes_for(bits)
 
-        by_kind: dict[str, list] = {kind: [] for kind in _TABLE_KINDS}
-        for member, lowered in enumerate(lowered_by_member):
-            for spec in lowered:
-                if spec.kind not in by_kind:
-                    raise ValueError(f"unknown lowered-fault kind {spec.kind!r}")
-                by_kind[spec.kind].append((member, spec))
+        def select(kind):
+            return np.flatnonzero(columns.kind == _KIND_CODE[kind])
 
-        static = _Group(by_kind[KIND_STATIC], words)
-        self.cf_in = _CouplingGroup(by_kind[KIND_CF_IN], words)
-        self.cf_id = _CouplingGroup(by_kind[KIND_CF_ID], words)
-        self.cf_st = _CouplingGroup(by_kind[KIND_CF_ST], words)
-        self.int_read = _StatelessGroup(by_kind[KIND_INT_READ], words)
-        self.seu = _StatelessGroup(by_kind[KIND_SEU], words)
-        self.retention = _StatelessGroup(by_kind[KIND_DRF], words)
+        static = _Group(columns, select(KIND_STATIC), words)
+        self.cf_in = _CouplingGroup(columns, select(KIND_CF_IN), words)
+        self.cf_id = _CouplingGroup(columns, select(KIND_CF_ID), words)
+        self.cf_st = _CouplingGroup(columns, select(KIND_CF_ST), words)
+        self.int_read = _StatelessGroup(columns, select(KIND_INT_READ), words)
+        self.seu = _StatelessGroup(columns, select(KIND_SEU), words)
+        self.retention = _StatelessGroup(columns, select(KIND_DRF), words)
         groups = (
             static,
             self.cf_in,
@@ -392,7 +612,7 @@ class CompiledFaultTable:
             self.retention,
         )
         # Rows in (member, word) order, which flat indices sort in too.
-        hooked = np.zeros(len(lowered_by_member) * words, dtype=bool)
+        hooked = np.zeros(n_members * words, dtype=bool)
         for group in groups:
             hooked[group.vic_flat] = True
         self.rows_flat = np.flatnonzero(hooked)
@@ -411,14 +631,13 @@ class CompiledFaultTable:
         shape = (self.n_rows, self.lanes)
         writes = np.zeros((2, 2, 2) + shape, dtype=np.uint64)
         reads = np.zeros((2, 2) + shape, dtype=np.uint64)
-        specs = [spec for _, spec in by_kind[KIND_STATIC]]
-        for planes, field in (
+        for planes, name in (
             (writes[0].reshape((4,) + shape), "write_flips"),
             (writes[1].reshape((4,) + shape), "nwrc_flips"),
             (reads[0], "read_flips"),
             (reads[1], "after_read_flips"),
         ):
-            codes = np.array([getattr(s, field) for s in specs], dtype=np.int64)
+            codes = columns.parameters[name][static.sel].astype(np.int64)
             _or_flips(planes, codes, static)
         # A DRF cell's NWRC write cannot flip it toward the fragile value
         # (written = fragile over old = not fragile); its decay clock
@@ -443,13 +662,14 @@ class CompiledFaultTable:
         return (written & table[1]) | (~written & table[0])
 
     def sync_fault_state(self) -> None:
-        """Publish the advanced analytic state back to the fault objects.
+        """Publish the advanced analytic state back to its homes.
 
-        Scenario flows reuse fault objects across sessions, so the draw
+        Scenario flows reuse fault state across sessions, so the draw
         counters the evaluator consumed and the decay clocks it moved
-        must land back on the behavioural faults once the batched session
-        ends -- a later session (batched *or* reference) then resumes the
-        decision sequence exactly where this one left off.
+        must land back on the source objects and population rows once
+        the batched session ends -- a later session (batched *or*
+        reference) then resumes the decision sequence exactly where this
+        one left off.
         """
         for group in (self.int_read, self.seu):
             if not group.size:
@@ -464,6 +684,8 @@ class CompiledFaultTable:
                     continue
                 written = float(group.written_at[i])
                 fault._written_at_ns = None if math.isnan(written) else written
+            for population, rows, positions in group.row_homes:
+                population.store_drf_clocks(rows, group.written_at[positions])
 
 
 class TableEvaluator:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -104,6 +105,95 @@ class DefectProfile:
         return self._types[bisect.bisect_right(self._cdf, rng.random())]
 
 
+#: Row kinds of a sampled population, one per fault class the defect
+#: map produces.  A row is ``(kind, victim, aggressor, value, forced)``;
+#: :func:`fault_from_row` gives each kind's meaning of ``value`` and
+#: ``forced``.
+ROW_SAF, ROW_TF, ROW_DRF, ROW_CF_IN, ROW_CF_ID, ROW_CF_ST = range(6)
+
+
+def defect_row(
+    defect: DefectType,
+    victim: int,
+    geometry: MemoryGeometry,
+    rng: np.random.Generator,
+) -> tuple[int, int, int, int]:
+    """The row ``(kind, aggressor, value, forced)`` a ``defect`` produces.
+
+    ``victim`` and the aggressor are linear cell indices; the aggressor
+    is -1 for single-cell faults.
+    """
+    if defect is DefectType.NODE_SHORT:
+        return ROW_SAF, -1, int(rng.integers(2)), 0
+    if defect is DefectType.ACCESS_OPEN:
+        return ROW_TF, -1, int(rng.integers(2)), 0
+    if defect is DefectType.PULLUP_OPEN:
+        return ROW_DRF, -1, int(rng.integers(2)), 0
+    if defect is DefectType.CELL_BRIDGE:
+        # Bridges form between *physically* adjacent cells.  Column
+        # multiplexing places logically adjacent bits of a word several
+        # physical columns apart, so manufacturing bridges overwhelmingly
+        # couple same-column cells in neighbouring words; intra-word
+        # coupling is injected explicitly in the coverage suite instead.
+        bits = geometry.bits
+        neighbors = geometry.neighbor_indices(victim)
+        word = victim // bits
+        neighbors = [n for n in neighbors if n // bits != word] or neighbors
+        aggressor = neighbors[int(rng.integers(len(neighbors)))]
+        subtype = int(rng.integers(3))
+        if subtype == 0:
+            return ROW_CF_IN, aggressor, int(rng.integers(2)), 0
+        kind = ROW_CF_ID if subtype == 1 else ROW_CF_ST
+        # The trigger (CFid) or aggressor state (CFst) is drawn before
+        # the forced value.
+        value = int(rng.integers(2))
+        return kind, aggressor, value, int(rng.integers(2))
+    raise ValueError(f"unknown defect type: {defect!r}")
+
+
+def fault_from_row(
+    kind: int, victim: CellRef, aggressor: CellRef | None, value: int, forced: int
+) -> Fault:
+    """The fault object of one population row.
+
+    ``value`` is the stuck value, the rising flag of a transition, the
+    fragile value of a DRF, the rising trigger of a CFin/CFid or the
+    aggressor state of a CFst; ``forced`` is the forced victim value of
+    a CFid/CFst.
+    """
+    if kind == ROW_SAF:
+        return StuckAtFault(victim, value=value)
+    if kind == ROW_TF:
+        return TransitionFault(victim, rising=bool(value))
+    if kind == ROW_DRF:
+        return DataRetentionFault(victim, fragile_value=value)
+    if kind == ROW_CF_IN:
+        return InversionCouplingFault(aggressor, victim, trigger_rising=bool(value))
+    if kind == ROW_CF_ID:
+        return IdempotentCouplingFault(
+            aggressor, victim, trigger_rising=bool(value), forced_value=forced
+        )
+    if kind == ROW_CF_ST:
+        return StateCouplingFault(
+            aggressor, victim, aggressor_state=value, forced_value=forced
+        )
+    raise ValueError(f"unknown row kind: {kind!r}")
+
+
+@functools.cache
+def row_representative(kind: int, value: int, forced: int, inter_word: bool) -> Fault:
+    """One fault object standing for every row of these parameters.
+
+    Row columns hold cells and parameters, not behaviour: the class,
+    lowering vote and lowered parameters of a row are read off this
+    object (victim at word 0, any aggressor in word 1 or, for an
+    intra-word arrangement, at bit 1 of word 0), so each class keeps its
+    one definition.
+    """
+    aggressor = CellRef(1, 0) if inter_word else CellRef(0, 1)
+    return fault_from_row(kind, CellRef(0, 0), aggressor, value, forced)
+
+
 def fault_for_defect(
     defect: DefectType,
     cell: CellRef,
@@ -111,36 +201,13 @@ def fault_for_defect(
     rng: np.random.Generator,
 ) -> Fault:
     """Instantiate the functional fault a ``defect`` at ``cell`` produces."""
-    if defect is DefectType.NODE_SHORT:
-        return StuckAtFault(cell, value=int(rng.integers(2)))
-    if defect is DefectType.ACCESS_OPEN:
-        return TransitionFault(cell, rising=bool(rng.integers(2)))
-    if defect is DefectType.PULLUP_OPEN:
-        return DataRetentionFault(cell, fragile_value=int(rng.integers(2)))
-    if defect is DefectType.CELL_BRIDGE:
-        # Bridges form between *physically* adjacent cells.  Column
-        # multiplexing places logically adjacent bits of a word several
-        # physical columns apart, so manufacturing bridges overwhelmingly
-        # couple same-column cells in neighbouring words; intra-word
-        # coupling is injected explicitly in the coverage suite instead.
-        neighbors = [
-            n for n in geometry.neighbors(cell) if n.word != cell.word
-        ] or geometry.neighbors(cell)
-        aggressor = neighbors[int(rng.integers(len(neighbors)))]
-        subtype = int(rng.integers(3))
-        if subtype == 0:
-            return InversionCouplingFault(aggressor, cell, trigger_rising=bool(rng.integers(2)))
-        if subtype == 1:
-            return IdempotentCouplingFault(
-                aggressor,
-                cell,
-                trigger_rising=bool(rng.integers(2)),
-                forced_value=int(rng.integers(2)),
-            )
-        return StateCouplingFault(
-            aggressor,
-            cell,
-            aggressor_state=int(rng.integers(2)),
-            forced_value=int(rng.integers(2)),
-        )
-    raise ValueError(f"unknown defect type: {defect!r}")
+    kind, aggressor, value, forced = defect_row(
+        defect, geometry.cell_index(cell), geometry, rng
+    )
+    return fault_from_row(
+        kind,
+        cell,
+        None if aggressor < 0 else geometry.cell_at(aggressor),
+        value,
+        forced,
+    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.faults.base import Fault, FaultClass
+from repro.faults.population import FaultPopulation
 from repro.memory.sram import SRAM
 
 
@@ -13,34 +14,66 @@ class FaultInjector:
 
     Diagnosis experiments need the ground truth ("which faults exist in
     which memory?") to score detection and localization; the injector is
-    that ground-truth registry.
+    that ground-truth registry.  It records single faults and whole
+    populations (:class:`~repro.faults.population.FaultPopulation`), the
+    latter as their rows: counts and classes come from the columns, and
+    :meth:`faults_for` builds objects only when asked.
     """
 
     def __init__(self) -> None:
-        self._by_memory: dict[str, list[Fault]] = {}
+        self._by_memory: dict[str, list[Fault | FaultPopulation]] = {}
 
-    def inject(self, memory: SRAM, faults: list[Fault] | Fault) -> None:
-        """Attach ``faults`` to ``memory`` and record them."""
-        if isinstance(faults, Fault):
+    def inject(
+        self, memory: SRAM, faults: list[Fault] | Fault | FaultPopulation
+    ) -> None:
+        """Attach ``faults`` to ``memory`` and record them.
+
+        A population attaches as one record
+        (:meth:`~repro.memory.sram.SRAM.attach_population`) and must not
+        be attached anywhere else.
+        """
+        if isinstance(faults, FaultPopulation):
+            memory.attach_population(faults)
             faults = [faults]
-        for fault in faults:
-            fault.attach(memory)
+        else:
+            if isinstance(faults, Fault):
+                faults = [faults]
+            for fault in faults:
+                fault.attach(memory)
         self._by_memory.setdefault(memory.name, []).extend(faults)
+
+    def entries(self, memory_name: str) -> list[Fault | FaultPopulation]:
+        """Single faults and populations injected into ``memory_name``, in order."""
+        return list(self._by_memory.get(memory_name, []))
 
     def faults_for(self, memory_name: str) -> list[Fault]:
         """Ground-truth faults injected into ``memory_name``."""
-        return list(self._by_memory.get(memory_name, []))
+        faults: list[Fault] = []
+        for entry in self._by_memory.get(memory_name, []):
+            if isinstance(entry, FaultPopulation):
+                faults.extend(entry.faults)
+            else:
+                faults.append(entry)
+        return faults
 
     @property
     def total(self) -> int:
         """Total number of injected faults across all memories."""
-        return sum(len(v) for v in self._by_memory.values())
+        return sum(
+            entry.size if isinstance(entry, FaultPopulation) else 1
+            for entries in self._by_memory.values()
+            for entry in entries
+        )
 
     def class_histogram(self) -> dict[FaultClass, int]:
         """Counts per fault class across all memories."""
         counter: Counter[FaultClass] = Counter()
-        for faults in self._by_memory.values():
-            counter.update(f.fault_class for f in faults)
+        for entries in self._by_memory.values():
+            for entry in entries:
+                if isinstance(entry, FaultPopulation):
+                    counter.update(entry.class_histogram())
+                else:
+                    counter[entry.fault_class] += 1
         return dict(counter)
 
     def memories(self) -> list[str]:

@@ -4,57 +4,252 @@
 seeded set of functional faults following the defect statistics of [8] as
 used by the paper's case study: ``faults = cells * rate / cells_per_fault``
 distinguishable faults, classes drawn from a :class:`DefectProfile`.
+
+A population is columnar, one row per fault (:class:`FaultPopulation`).
+Ground truth, the vector engine and repair read the rows; fault objects
+are built from them only when a behavioural path first needs one.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.faults.base import Fault, FaultClass, M1_LOCALIZABLE_CLASSES
-from repro.faults.defects import DefectProfile, fault_for_defect
-from repro.memory.geometry import MemoryGeometry
-from repro.util.records import Record
-from repro.util.rng import make_rng
+from repro.faults.defects import (
+    DefectProfile,
+    ROW_DRF,
+    defect_row,
+    fault_from_row,
+    row_representative,
+)
+from repro.memory.geometry import CellRef, MemoryGeometry
+from repro.util.rng import make_rng, np
 from repro.util.rounding import round_half_up
 from repro.util.validation import require, require_in_range
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (numpy is the [fast] extra)
-    import numpy as np
+#: Fault classes in code order: a class code indexes this tuple.
+FAULT_CLASSES = tuple(FaultClass)
 
 
-@dataclass
-class FaultPopulation(Record):
-    """A sampled set of faults for one memory, plus its provenance."""
+@functools.cache
+def _row_class_codes():
+    """Class code of each ``(kind, value)`` pair, as ``table[kind * 2 + value]``."""
+    table = np.array(
+        [
+            FAULT_CLASSES.index(row_representative(kind, value, 0, True).fault_class)
+            for kind in range(6)
+            for value in (0, 1)
+        ],
+        dtype=np.int64,
+    )
+    table.setflags(write=False)  # shared by every caller of the cache
+    return table
 
-    geometry: MemoryGeometry
-    defect_rate: float
-    faults: list[Fault] = field(default_factory=list)
+
+def _class_code_mask(classes) -> "np.ndarray":
+    """A boolean table over class codes: which codes belong to ``classes``."""
+    return np.array([c in classes for c in FAULT_CLASSES], dtype=bool)
+
+
+#: The integer columns of a population row, in :attr:`FaultPopulation.columns` order.
+ROW_COLUMNS = (
+    "kind",
+    "victim_word",
+    "victim_bit",
+    "aggressor_word",
+    "aggressor_bit",
+    "value",
+    "forced",
+)
+
+
+class FaultPopulation:
+    """A sampled set of faults for one memory, one row per fault.
+
+    :attr:`columns` stacks the integer columns (:data:`ROW_COLUMNS`),
+    each also an attribute:
+
+    * ``kind`` -- a :data:`~repro.faults.defects.ROW_SAF`-style row kind,
+      ``value``/``forced`` its parameters (see
+      :func:`~repro.faults.defects.fault_from_row`);
+    * ``victim_word``/``victim_bit`` and ``aggressor_word``/
+      ``aggressor_bit`` (-1 for single-cell faults).
+
+    They are read-only.  Two more columns are state: ``written_at``, the
+    DRF decay clock (NaN: no fragile write pending), and ``live``, the
+    rows still attached to the memory this population is attached to as
+    one record (:meth:`repro.memory.sram.SRAM.attach_population`);
+    repair clears the rows it detaches.
+
+    :meth:`fault` builds a row's object on first use and keeps it, and
+    :attr:`faults` builds them all.  Each row's decay clock has one home:
+    the ``written_at`` column until the row's object is built, the object
+    after (:meth:`drf_clocks`, :meth:`store_drf_clocks`).
+    """
+
+    def __init__(
+        self,
+        geometry: MemoryGeometry,
+        defect_rate: float,
+        columns,
+        written_at=None,
+        live=None,
+    ) -> None:
+        self.geometry = geometry
+        self.defect_rate = defect_rate
+        self.columns = columns
+        columns.setflags(write=False)
+        (
+            self.kind,
+            self.victim_word,
+            self.victim_bit,
+            self.aggressor_word,
+            self.aggressor_bit,
+            self.value,
+            self.forced,
+        ) = columns
+        size = columns.shape[1]
+        self.written_at = (
+            np.full(size, math.nan) if written_at is None else written_at
+        )
+        self.live = np.ones(size, dtype=bool) if live is None else live
+        self._objects: list[Fault | None] | None = None
+        self._class_codes = None
 
     @property
     def size(self) -> int:
         """Number of distinguishable faults."""
-        return len(self.faults)
+        return len(self.kind)
+
+    # ------------------------------------------------------------------ #
+    # Objects                                                            #
+    # ------------------------------------------------------------------ #
+    def fault(self, row: int) -> Fault:
+        """Row ``row``'s fault object, built on first use."""
+        objects = self._objects
+        if objects is None:
+            objects = self._objects = [None] * self.size
+        fault = objects[row]
+        if fault is None:
+            kind, word, bit, aggressor_word, aggressor_bit, value, forced = (
+                self.columns[:, row].tolist()
+            )
+            aggressor = (
+                None if aggressor_word < 0 else CellRef(aggressor_word, aggressor_bit)
+            )
+            fault = fault_from_row(kind, CellRef(word, bit), aggressor, value, forced)
+            written = float(self.written_at[row])
+            if kind == ROW_DRF and not math.isnan(written):
+                fault._written_at_ns = written
+            objects[row] = fault
+        return fault
+
+    @property
+    def faults(self) -> list[Fault]:
+        """Every row's fault object, in row order."""
+        return [self.fault(row) for row in range(self.size)]
+
+    def built_rows(self) -> list[int]:
+        """Rows whose objects exist."""
+        if self._objects is None:
+            return []
+        return [row for row, fault in enumerate(self._objects) if fault is not None]
+
+    def drf_clocks(self, rows) -> "np.ndarray":
+        """The decay clocks of DRF ``rows``, each read from its home."""
+        clocks = self.written_at[rows]
+        if self._objects is not None:
+            for index, row in enumerate(np.asarray(rows).tolist()):
+                fault = self._objects[row]
+                if fault is not None:
+                    written = fault._written_at_ns
+                    clocks[index] = math.nan if written is None else written
+        return clocks
+
+    def store_drf_clocks(self, rows, clocks) -> None:
+        """Write the decay clocks of DRF ``rows`` to their homes."""
+        objects = self._objects
+        if objects is None:
+            self.written_at[rows] = clocks
+            return
+        for row, written in zip(np.asarray(rows).tolist(), clocks.tolist()):
+            fault = objects[row]
+            if fault is None:
+                self.written_at[row] = written
+            else:
+                fault._written_at_ns = None if math.isnan(written) else written
+
+    def copy(self) -> "FaultPopulation":
+        """An independent twin carrying each row's current state.
+
+        The read-only :attr:`columns` (and the class codes derived from
+        them) are shared; clocks and the live mask are copied, and no
+        object is built.
+        """
+        twin = object.__new__(FaultPopulation)
+        twin.__dict__.update(self.__dict__)
+        twin.written_at = self.drf_clocks(np.arange(self.size))
+        twin.live = self.live.copy()
+        twin._objects = None
+        return twin
+
+    # ------------------------------------------------------------------ #
+    # Columnar views                                                     #
+    # ------------------------------------------------------------------ #
+    @property
+    def class_codes(self) -> "np.ndarray":
+        """Each row's class, as an index into :data:`FAULT_CLASSES`."""
+        if self._class_codes is None:
+            self._class_codes = _row_class_codes()[self.kind * 2 + self.value]
+        return self._class_codes
 
     def class_histogram(self) -> dict[FaultClass, int]:
         """Count of faults per fault class."""
-        return dict(Counter(f.fault_class for f in self.faults))
+        codes = Counter(self.class_codes.tolist())
+        return {FAULT_CLASSES[code]: count for code, count in codes.items()}
 
     @property
     def m1_localizable(self) -> int:
         """Faults the baseline M1 kernel can localize (its 75 % share)."""
-        return sum(1 for f in self.faults if f.fault_class in M1_LOCALIZABLE_CLASSES)
+        return int(_class_code_mask(M1_LOCALIZABLE_CLASSES)[self.class_codes].sum())
 
     @property
     def retention_faults(self) -> int:
         """Number of DRFs (the class [7, 8] neglects)."""
-        return sum(1 for f in self.faults if f.fault_class.is_retention)
+        retention = {c for c in FAULT_CLASSES if c.is_retention}
+        return int(_class_code_mask(retention)[self.class_codes].sum())
+
+    def live_words(self) -> set[int]:
+        """Words holding a live row's victim or aggressor cell."""
+        live = self.live
+        words = set(self.victim_word[live].tolist())
+        aggressors = self.aggressor_word[live]
+        words.update(aggressors[aggressors >= 0].tolist())
+        return words
+
+    def victims_hit(self, cell_ids, bits: int) -> int:
+        """Rows whose victim is among the sorted ``cell_ids`` (``word * bits + bit``)."""
+        if not self.size or not cell_ids:
+            return 0
+        cells = np.asarray(cell_ids, dtype=np.int64)
+        ids = self.victim_word * bits + self.victim_bit
+        found = cells[np.minimum(np.searchsorted(cells, ids), cells.size - 1)] == ids
+        # ``bit < bits``: an out-of-width victim must not alias the next
+        # word's cell id.
+        return int(np.count_nonzero(found & (self.victim_bit < bits)))
 
     def attach_all(self, memory) -> None:
-        """Install every fault into ``memory``."""
+        """Install every fault into ``memory`` as an object."""
         for fault in self.faults:
             fault.attach(memory)
+
+    def __repr__(self) -> str:
+        return (
+            f"FaultPopulation({self.geometry.name!r}, rate={self.defect_rate}, "
+            f"size={self.size})"
+        )
 
 
 def expected_fault_count(
@@ -98,50 +293,30 @@ def sample_population(
         f"defect rate {defect_rate} implies more faults than cells",
     )
     if count == 0:
-        return FaultPopulation(geometry, defect_rate, [])
+        empty = np.zeros((len(ROW_COLUMNS), 0), dtype=np.int64)
+        return FaultPopulation(geometry, defect_rate, empty)
 
-    victim_indices = generator.choice(geometry.cells, size=count, replace=False)
-    used = {int(i) for i in victim_indices}
-    faults: list[Fault] = []
-    for index in victim_indices:
-        cell = geometry.cell_at(int(index))
+    victims = generator.choice(geometry.cells, size=count, replace=False).tolist()
+    used = set(victims)
+    bits = geometry.bits
+    rows: list[tuple[int, ...]] = []
+    for victim in victims:
         defect = profile.sample_type(generator)
-        fault = fault_for_defect(defect, cell, geometry, generator)
+        kind, aggressor, value, forced = defect_row(defect, victim, geometry, generator)
         # Prefer an aggressor that is not itself defective so fault effects
         # do not overlap; fall back to whatever neighbour was drawn.
-        if fault.aggressors:
-            aggressor = fault.aggressors[0]
-            if geometry.cell_index(aggressor) in used:
+        if aggressor >= 0:
+            if aggressor in used:
                 free = [
-                    n
-                    for n in geometry.neighbors(cell)
-                    if geometry.cell_index(n) not in used
+                    n for n in geometry.neighbor_indices(victim) if n not in used
                 ]
                 if free:
-                    replacement = free[int(generator.integers(len(free)))]
-                    fault = _retarget_aggressor(fault, replacement)
-            used.add(geometry.cell_index(fault.aggressors[0]))
-        faults.append(fault)
-    return FaultPopulation(geometry, defect_rate, faults)
-
-
-def _retarget_aggressor(fault: Fault, aggressor) -> Fault:
-    """Rebuild a coupling fault with a different aggressor cell."""
-    from repro.faults.coupling import (
-        IdempotentCouplingFault,
-        InversionCouplingFault,
-        StateCouplingFault,
-    )
-
-    victim = fault.victims[0]
-    if isinstance(fault, InversionCouplingFault):
-        return InversionCouplingFault(aggressor, victim, fault.trigger_rising)
-    if isinstance(fault, IdempotentCouplingFault):
-        return IdempotentCouplingFault(
-            aggressor, victim, fault.trigger_rising, fault.forced_value
-        )
-    if isinstance(fault, StateCouplingFault):
-        return StateCouplingFault(
-            aggressor, victim, fault.aggressor_state, fault.forced_value
-        )
-    raise TypeError(f"cannot retarget {type(fault).__name__}")
+                    aggressor = free[int(generator.integers(len(free)))]
+            used.add(aggressor)
+            aggressor_cell = divmod(aggressor, bits)
+        else:
+            aggressor_cell = (-1, -1)
+        rows.append((kind, *divmod(victim, bits), *aggressor_cell, value, forced))
+    # One row per fault in ROW_COLUMNS order, stored column by column.
+    columns = np.array(rows, dtype=np.int64).T.copy()
+    return FaultPopulation(geometry, defect_rate, columns)

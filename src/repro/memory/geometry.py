@@ -103,11 +103,19 @@ class MemoryGeometry(Record):
         Coupling-fault populations sample aggressor/victim pairs from this
         relation because real bridging defects join neighbouring cells.
         """
-        self.check_cell(cell)
-        candidates = [
-            CellRef(cell.word - 1, cell.bit) if cell.word > 0 else None,
-            CellRef(cell.word + 1, cell.bit) if cell.word + 1 < self.words else None,
-            CellRef(cell.word, cell.bit - 1) if cell.bit > 0 else None,
-            CellRef(cell.word, cell.bit + 1) if cell.bit + 1 < self.bits else None,
-        ]
-        return [c for c in candidates if c is not None]
+        return [self.cell_at(i) for i in self.neighbor_indices(self.cell_index(cell))]
+
+    def neighbor_indices(self, index: int) -> list[int]:
+        """:meth:`neighbors` as linear cell indices, in the same order."""
+        bits = self.bits
+        word, bit = divmod(index, bits)
+        neighbors = []
+        if word > 0:
+            neighbors.append(index - bits)
+        if word + 1 < self.words:
+            neighbors.append(index + bits)
+        if bit > 0:
+            neighbors.append(index - 1)
+        if bit + 1 < bits:
+            neighbors.append(index + 1)
+        return neighbors

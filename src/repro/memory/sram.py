@@ -16,6 +16,13 @@ memory calls, when present:
   read,
 * ``on_aggressor_transition(memory, word, bit, old_bit, new_bit)`` -- called
   when a watched aggressor cell transitions (coupling faults).
+
+A sampled population (:class:`repro.faults.population.FaultPopulation`)
+attaches as one record of rows instead
+(:meth:`SRAM.attach_population`).  Its live rows count as hooked words
+and the vector engine reads them as columns; the memory builds them into
+the object index above -- in row order, before anything attached later --
+only when an operation needs the objects.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from repro.memory.geometry import CellRef, MemoryGeometry
 from repro.memory.ports import AccessKind, AccessRecord
 from repro.memory.timebase import TimeBase
 from repro.util.bitops import mask
+from repro.util.rng import np
 from repro.util.validation import require
 
 
@@ -53,6 +61,13 @@ def _unindex(
     if not bits:
         del bits_by_word[word]
     return True
+
+
+def _mask(size: int, members: set[int]):
+    """A boolean lookup table of ``size`` entries, true at ``members``."""
+    table = np.zeros(size, dtype=bool)
+    table[list(members)] = True
+    return table
 
 
 class SRAM:
@@ -101,6 +116,8 @@ class SRAM:
         self._read_hooks: dict[tuple[int, int], list[Any]] = {}
         self._write_hooks: dict[tuple[int, int], list[Any]] = {}
         self._nwrc_hooks: dict[tuple[int, int], list[Any]] = {}
+        #: Populations attached as rows and not yet built into the index.
+        self._populations: list[Any] = []
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #
@@ -128,7 +145,17 @@ class SRAM:
     @property
     def cell_faults(self) -> list[Any]:
         """All attached cell-level fault objects."""
+        self._index_populations()
         return list(self._cell_faults)
+
+    def fault_records(self) -> tuple[list[Any], list[Any]]:
+        """The attached cell faults as they are held, without building any.
+
+        ``(objects, populations)``: the indexed fault objects in
+        attachment order, and the populations still attached as rows
+        (their ``live`` rows are attached).
+        """
+        return list(self._cell_faults), list(self._populations)
 
     def dump(self) -> list[int]:
         """Snapshot of the raw stored words (fault-model free)."""
@@ -137,6 +164,36 @@ class SRAM:
     # ------------------------------------------------------------------ #
     # Fault attachment                                                   #
     # ------------------------------------------------------------------ #
+    def attach_population(self, population: Any) -> None:
+        """Attach a sampled population as one record of rows.
+
+        Nothing is built: the live rows count in :meth:`hooked_words`
+        and the vector engine lowers them from their columns.  The first
+        operation that acts on fault objects -- attaching or removing a
+        single fault, :attr:`cell_faults`, or any read or write -- builds
+        them into the index in row order.  An empty population attaches
+        nothing.
+        """
+        if not population.size:
+            return
+        words, bits = self.geometry.words, self.geometry.bits
+        # Rows 1-4 of the columns: victim and aggressor words and bits.
+        top = population.columns[1:5].max(axis=1).tolist()
+        require(
+            max(top[0], top[2]) < words and max(top[1], top[3]) < bits,
+            f"{self.name}: population cells outside {words}x{bits}",
+        )
+        self._populations.append(population)
+
+    def _index_populations(self) -> None:
+        """Build the live rows of pending populations into the index."""
+        if not self._populations:
+            return
+        populations, self._populations = self._populations, []
+        for population in populations:
+            for row in population.live.nonzero()[0].tolist():
+                self._index_fault(population.fault(row))
+
     def add_cell_fault(self, fault: Any) -> None:
         """Attach a cell-level fault.
 
@@ -144,6 +201,10 @@ class SRAM:
         alters) and ``aggressors`` (cells whose transitions it watches);
         either may be empty.
         """
+        self._index_populations()
+        self._index_fault(fault)
+
+    def _index_fault(self, fault: Any) -> None:
         for cell in getattr(fault, "victims", ()):
             self.geometry.check_cell(cell)
             key = (cell.word, cell.bit)
@@ -181,6 +242,40 @@ class SRAM:
         removed faults' cells are touched; :attr:`cell_faults` and every
         per-cell hook list keep the attachment order of what stays.
         """
+        self._index_populations()
+        self._unindex_faults(faults)
+
+    def remove_covered_faults(
+        self, words: Iterable[int] = (), bits: Iterable[int] = ()
+    ) -> int:
+        """Detach every cell fault whose victims all sit in ``words`` or ``bits``.
+
+        The model of a spare-row/column (or spare-word) repair.  Live
+        population rows leave by clearing their ``live`` flag, without
+        building anything; indexed objects leave as in
+        :meth:`remove_cell_faults`.  Returns the number detached.
+        """
+        words, bits = set(words), set(bits)
+        detached = 0
+        if self._populations:
+            word_covered = _mask(self.geometry.words, words)
+            bit_covered = _mask(self.geometry.bits, bits)
+        for population in self._populations:
+            covered = word_covered[population.victim_word]
+            covered |= bit_covered[population.victim_bit]
+            covered &= population.live
+            detached += int(covered.sum())
+            population.live[covered] = False
+        doomed = [
+            fault
+            for fault in self._cell_faults
+            if fault.victims
+            and all(cell.word in words or cell.bit in bits for cell in fault.victims)
+        ]
+        self._unindex_faults(doomed)
+        return detached + len(doomed)
+
+    def _unindex_faults(self, faults: Iterable[Any]) -> None:
         doomed = {id(fault) for fault in faults}
         kept: list[Any] = []
         removed: list[Any] = []
@@ -232,6 +327,7 @@ class SRAM:
         self._read_hooks.clear()
         self._write_hooks.clear()
         self._nwrc_hooks.clear()
+        self._populations.clear()
         self.decoder.reset()
         self.column_mux.reset()
 
@@ -278,8 +374,12 @@ class SRAM:
         The union of words containing victim cells and words containing
         watched aggressor cells: accesses to every *other* word behave
         ideally, which is the invariant the bit-parallel backend exploits.
+        Live population rows count without being built.
         """
-        return set(self._faulty_bits_by_word) | set(self._watched_bits_by_word)
+        words = set(self._faulty_bits_by_word) | set(self._watched_bits_by_word)
+        for population in self._populations:
+            words |= population.live_words()
+        return words
 
     # ------------------------------------------------------------------ #
     # Functional access path                                             #
@@ -287,6 +387,7 @@ class SRAM:
     def read(self, address: int) -> int:
         """Execute one read cycle and return the observed word."""
         self.geometry.check_address(address)
+        self._index_populations()
         self.timebase.tick()
         observed = self._read_bus(address)
         if self.trace:
@@ -332,6 +433,8 @@ class SRAM:
         guarantee the preconditions (the engine's ``supports`` checks
         do).
         """
+        if self._populations:
+            self._index_populations()
         self.timebase.tick_one()
         physical = self._state[address]
         faulty_bits = self._faulty_bits_by_word.get(address)
@@ -348,6 +451,8 @@ class SRAM:
 
     def replay_write(self, address: int, value: int, nwrc: bool = False) -> None:
         """One write cycle assuming an ideal periphery (see :meth:`replay_read`)."""
+        if self._populations:
+            self._index_populations()
         self.timebase.tick_one()
         old_physical = self._state[address]
         faulty_bits = self._faulty_bits_by_word.get(address)
@@ -441,6 +546,7 @@ class SRAM:
     def _write_common(self, address: int, value: int, nwrc: bool) -> None:
         self.geometry.check_address(address)
         require(0 <= value <= self._word_mask, f"value {value:#x} too wide")
+        self._index_populations()
         self.timebase.tick()
         for word in self.decoder.targets(address):
             self._write_word(word, value, nwrc)
@@ -480,14 +586,17 @@ class SRAM:
 
     def faulty_cells(self) -> set[CellRef]:
         """All cells that appear as a victim of some attached fault."""
+        self._index_populations()
         return {CellRef(w, b) for (w, b) in self._victim_faults}
 
     def words_with_faults(self) -> Iterable[int]:
         """Word indices containing at least one faulty (victim) cell."""
+        self._index_populations()
         return sorted(self._faulty_bits_by_word)
 
     def __repr__(self) -> str:
+        pending = sum(int(p.live.sum()) for p in self._populations)
         return (
             f"SRAM(name={self.name!r}, words={self.words}, bits={self.bits}, "
-            f"faults={len(self._cell_faults)})"
+            f"faults={len(self._cell_faults) + pending})"
         )

@@ -15,6 +15,11 @@ implementations exist:
   ``enabled`` is ``False``, so instrumentation sites reduce to one
   attribute check and the un-instrumented hot path pays (almost) nothing.
 
+While a :class:`Tracer` is installed, a ``gc.callbacks`` entry counts
+every cyclic garbage collection and its time (``gc.collections``,
+``gc.gen2.collections``, ``gc.ns``); installing the null tracer removes
+it again, so a disabled tracer costs nothing there either.
+
 Workers serialize their tracer via :meth:`Tracer.snapshot` -- a plain
 JSON-friendly dict shipped back inside chunk results -- and the fleet
 scheduler merges snapshots into a
@@ -27,6 +32,7 @@ span anyway).
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -229,11 +235,38 @@ def tracer() -> "Tracer | NullTracer":
 
 
 def set_tracer(instance: "Tracer | NullTracer") -> "Tracer | NullTracer":
-    """Install ``instance`` as the process-global tracer; returns the old one."""
+    """Install ``instance`` as the process-global tracer; returns the old one.
+
+    An enabled tracer registers the garbage-collection counter
+    (:func:`_count_collection`); the null tracer unregisters it.
+    """
     global _current
     previous = _current
     _current = instance
+    registered = _count_collection in gc.callbacks
+    if instance.enabled and not registered:
+        gc.callbacks.append(_count_collection)
+    elif registered and not instance.enabled:
+        gc.callbacks.remove(_count_collection)
     return previous
+
+
+_gc_started_ns = 0
+
+
+def _count_collection(phase: str, info: dict) -> None:
+    """``gc.callbacks`` entry: one cyclic collection and its time, counted."""
+    global _gc_started_ns
+    if phase == "start":
+        _gc_started_ns = time.perf_counter_ns()
+        return
+    if not _current.enabled:
+        return
+    counters = _current.counters
+    counters.add("gc.collections")
+    if info["generation"] == 2:
+        counters.add("gc.gen2.collections")
+    counters.add("gc.ns", time.perf_counter_ns() - _gc_started_ns)
 
 
 def activate(max_spans: int = 100_000) -> Tracer:

@@ -34,6 +34,12 @@ weak-cell layer and a mandatory intermittent layer), so the compiled
 fault table's mixed lowerable/behavioural partition is fuzzed with every
 table-lowerable class present.
 
+The bucket-stacking and dense three-way matrices also run every fast
+backend on banks whose manufacturing population attaches as one record
+of rows (the ``-rows`` legs, :data:`LEGS`): the vector paths lower and
+replay those rows without building objects up front, and each row leg
+must equal the reference on the same row bank.
+
 The batched plan compiles a bucket's fault table only from
 :data:`~repro.engine.batched.TABLE_MIN_HOOKED_ROWS` hooked rows, which
 most fuzz buckets fall below.  Every batched session in this module
@@ -105,6 +111,43 @@ def run_default_plan(monkeypatch, scheme):
         return run_session(scheme, backend="batched")
 
 
+#: The fast legs of the three-way matrices: each backend (``batched`` on
+#: the always-table plan, ``batched-default`` at the shipped threshold),
+#: with the manufacturing population attached as fault objects or, on
+#: the ``-rows`` legs, as one record of rows (see :func:`build_bank`).
+#: Object legs are compared with the reference on object banks, row legs
+#: with the reference on row banks.
+LEGS = (
+    "numpy",
+    "batched",
+    "batched-default",
+    "numpy-rows",
+    "batched-rows",
+    "batched-default-rows",
+)
+
+
+def run_legs(monkeypatch, algorithm, *bank_args):
+    """``(banks, reports)`` of every leg and of both reference legs."""
+    banks, reports = {}, {}
+    for leg in ("reference", "reference-rows", *LEGS):
+        banks[leg] = build_bank(*bank_args, rows=leg.endswith("-rows"))[0]
+        scheme = FastDiagnosisScheme(banks[leg], algorithm_factory=algorithm)
+        backend = leg.removesuffix("-rows")
+        if backend == "reference":
+            reports[leg] = scheme.diagnose()
+        elif backend == "batched-default":
+            reports[leg] = run_default_plan(monkeypatch, scheme)
+        else:
+            reports[leg] = run_session(scheme, backend=backend)
+    return banks, reports
+
+
+def reference_leg(leg: str) -> str:
+    """The reference bank a leg is compared with."""
+    return "reference-rows" if leg.endswith("-rows") else "reference"
+
+
 def draw_case(case_index: int):
     """One random (bank geometries, defect rate, algorithm) triple."""
     rng = make_rng(0xD1FF + case_index)
@@ -147,15 +190,24 @@ def sample_dynamic_population(geometry, rate, rng):
     ]
 
 
-def build_bank(geometries, defect_rate, seed, intermittent=None, dynamic_rate=None):
+def build_bank(
+    geometries, defect_rate, seed, intermittent=None, dynamic_rate=None, rows=False
+):
     """A seeded faulty bank; ``intermittent=(rate, upset_p)`` layers the
     per-access soft-error population on top of the manufacturing one and
-    ``dynamic_rate`` a read/write-disturb + weak-cell population."""
+    ``dynamic_rate`` a read/write-disturb + weak-cell population.
+
+    With ``rows`` the manufacturing population attaches as one record of
+    rows, after the other layers: attaching a single fault builds any
+    pending rows into objects, so the rows come last to reach the session
+    unbuilt.  Hook chains on shared cells then run the layers first, so
+    row banks are compared with a row-built reference."""
     bank = MemoryBank([SRAM(geometry) for geometry in geometries])
     injector = FaultInjector()
     for index, memory in enumerate(bank):
         population = sample_population(memory.geometry, defect_rate, rng=seed + index)
-        injector.inject(memory, population.faults)
+        if not rows:
+            injector.inject(memory, population.faults)
         if dynamic_rate is not None:
             injector.inject(
                 memory,
@@ -173,6 +225,8 @@ def build_bank(geometries, defect_rate, seed, intermittent=None, dynamic_rate=No
                     )
                 ),
             )
+        if rows:
+            injector.inject(memory, population)
     return bank, injector
 
 
@@ -365,34 +419,18 @@ class TestDifferentialFuzzBatched:
     def test_proposed_session_three_way(self, case_index, monkeypatch):
         geometries, defect_rate, algorithm, seed = draw_bucketed_case(case_index)
         layer = self.intermittent_layer(case_index)
-        banks = {
-            backend: build_bank(geometries, defect_rate, seed, layer)[0]
-            for backend in ("reference", "numpy", "batched", "batched-default")
-        }
-        reference = FastDiagnosisScheme(
-            banks["reference"], algorithm_factory=algorithm
-        ).diagnose()
-        reports = {
-            backend: run_session(
-                FastDiagnosisScheme(banks[backend], algorithm_factory=algorithm),
-                backend=backend,
-            )
-            for backend in ("numpy", "batched")
-        }
-        reports["batched-default"] = run_default_plan(
-            monkeypatch,
-            FastDiagnosisScheme(
-                banks["batched-default"], algorithm_factory=algorithm
-            ),
+        banks, reports = run_legs(
+            monkeypatch, algorithm, geometries, defect_rate, seed, layer
         )
-        for backend, fast in reports.items():
+        for backend in LEGS:
+            fast, reference = reports[backend], reports[reference_leg(backend)]
             assert fast.failures == reference.failures, backend
             assert fast.cycles == reference.cycles, backend
             assert fast.pause_ns == reference.pause_ns, backend
             assert fast.deliveries == reference.deliveries, backend
             assert fast.nwrc_ops == reference.nwrc_ops, backend
             assert fast.time_ns == reference.time_ns, backend
-            assert_states_equal(banks["reference"], banks[backend])
+            assert_states_equal(banks[reference_leg(backend)], banks[backend])
 
     def test_raw_march_backend(self, case_index):
         geometries, defect_rate, algorithm, seed = draw_bucketed_case(case_index)
@@ -483,27 +521,23 @@ class TestDifferentialFuzzDense:
             algorithm,
             seed,
         ) = draw_dense_case(case_index)
-        banks = {
-            backend: build_bank(
-                geometries, defect_rate, seed, intermittent, dynamic_rate
-            )[0]
-            for backend in ("reference", "numpy", "batched", "batched-default")
-        }
-        reference = FastDiagnosisScheme(
-            banks["reference"], algorithm_factory=algorithm
-        ).diagnose()
-        for backend in ("numpy", "batched", "batched-default"):
-            scheme = FastDiagnosisScheme(banks[backend], algorithm_factory=algorithm)
-            if backend == "batched-default":
-                fast = run_default_plan(monkeypatch, scheme)
-            else:
-                fast = run_session(scheme, backend=backend)
+        banks, reports = run_legs(
+            monkeypatch,
+            algorithm,
+            geometries,
+            defect_rate,
+            seed,
+            intermittent,
+            dynamic_rate,
+        )
+        for backend in LEGS:
+            fast, reference = reports[backend], reports[reference_leg(backend)]
             assert fast.failures == reference.failures, backend
             assert fast.cycles == reference.cycles, backend
             assert fast.deliveries == reference.deliveries, backend
             assert fast.nwrc_ops == reference.nwrc_ops, backend
             assert fast.time_ns == reference.time_ns, backend
-            assert_states_equal(banks["reference"], banks[backend])
+            assert_states_equal(banks[reference_leg(backend)], banks[backend])
 
     def test_dense_manufacturing_only(self, case_index):
         geometries, defect_rate, dynamic_rate, _, algorithm, seed = draw_dense_case(

@@ -51,6 +51,7 @@ from repro.faults.dynamic import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.intermittent import IntermittentReadFault, SoftErrorUpsetFault
+from repro.faults.population import sample_population
 from repro.faults.retention_fault import DataRetentionFault
 from repro.faults.stuck_at import StuckAtFault
 from repro.faults.transition import TransitionFault
@@ -64,21 +65,22 @@ from repro.util.rng import make_rng
 
 
 def cell_picker(geometry, rng):
-    """Draw distinct cells of ``geometry`` on demand."""
-    order = rng.permutation(geometry.cells)
-    cursor = iter(order)
+    """Draw distinct cells of ``geometry`` on demand.
 
-    def pick() -> CellRef:
-        return geometry.cell_at(int(next(cursor)))
+    ``pick(word)`` takes the next cell outside ``word``: coupling
+    aggressors come from the same picker, in a word other than their
+    victim's, so they never land on another fault's cell.  An exhausted
+    picker raises ``StopIteration``.
+    """
+    remaining = [geometry.cell_at(int(i)) for i in rng.permutation(geometry.cells)]
+
+    def pick(avoid_word: int | None = None) -> CellRef:
+        for position, cell in enumerate(remaining):
+            if cell.word != avoid_word:
+                return remaining.pop(position)
+        raise StopIteration
 
     return pick
-
-
-def other_word_cell(geometry, cell, rng) -> CellRef:
-    word = int(rng.integers(geometry.words - 1))
-    if word >= cell.word:
-        word += 1
-    return CellRef(word, int(rng.integers(geometry.bits)))
 
 
 #: label -> factory(geometry, pick, rng) for each lowerable class.
@@ -97,16 +99,16 @@ LOWERABLE_CLASSES = {
     ),
     "weak-cell": lambda g, pick, rng: WeakCellDefect(pick(), int(rng.integers(2))),
     "cf-inversion": lambda g, pick, rng: InversionCouplingFault(
-        other_word_cell(g, c := pick(), rng), c, bool(rng.integers(2))
+        pick((c := pick()).word), c, bool(rng.integers(2))
     ),
     "cf-idempotent": lambda g, pick, rng: IdempotentCouplingFault(
-        other_word_cell(g, c := pick(), rng),
+        pick((c := pick()).word),
         c,
         bool(rng.integers(2)),
         int(rng.integers(2)),
     ),
     "cf-state": lambda g, pick, rng: StateCouplingFault(
-        other_word_cell(g, c := pick(), rng),
+        pick((c := pick()).word),
         c,
         int(rng.integers(2)),
         int(rng.integers(2)),
@@ -446,20 +448,82 @@ class TestPartition:
         assert lanes.vector_masks[1].all()
 
 
+def reference_partition(faults):
+    """The per-object partition loop the array rule replaced."""
+    participation: dict[tuple[int, int], int] = {}
+    for fault in faults:
+        for cell in fault.cells:
+            key = (cell.word, cell.bit)
+            participation[key] = participation.get(key, 0) + 1
+    candidates, tainted, edges = [], set(), []
+    for fault in faults:
+        words = {cell.word for cell in fault.cells}
+        if fault.aggressors:
+            edges.append(tuple(words))
+        if fault.vector_lowerable() and all(
+            participation[(cell.word, cell.bit)] == 1 for cell in fault.cells
+        ):
+            candidates.append(fault)
+        else:
+            tainted |= words
+    changed = True
+    while changed:
+        changed = False
+        for words in edges:
+            if any(word in tainted for word in words) and not tainted.issuperset(words):
+                tainted.update(words)
+                changed = True
+    lowered = [
+        fault
+        for fault in candidates
+        if all(cell.word not in tainted for cell in fault.cells)
+    ]
+    return lowered, tainted
+
+
+class TestPartitionRule:
+    """The array rule against the per-object loop, objects and rows mixed."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_matches_object_loop(self, case):
+        bank = bucket_bank(0x31 + case)
+        inject_mixed(bank, case)
+        for index, memory in enumerate(bank):
+            FaultInjector().inject(
+                memory, sample_population(memory.geometry, 0.3, rng=case * 7 + index)
+            )
+        for memory in bank:
+            lowered, tainted = partition_faults(memory)
+            expected, expected_tainted = reference_partition(memory.cell_faults)
+            assert tainted == expected_tainted
+            assert sorted(map(repr, lowered)) == sorted(
+                repr(fault.lower()) for fault in expected
+            )
+
+
 @pytest.mark.usefixtures("always_table")
 @pytest.mark.parametrize("label", sorted(LOWERABLE_CLASSES))
 @pytest.mark.parametrize("case", range(3))
 class TestLoweredRoundTrip:
-    """Lowered table evaluation == behavioural object replay, per class."""
+    """Lowered table evaluation == behavioural object replay, per class.
+
+    Every class/case pair puts faults on the table lane, so the
+    comparison is never between two replays.
+    """
 
     def test_class_population_round_trips(self, label, case):
         algorithm = ALGORITHMS[case % len(ALGORITHMS)]
-        assert_sessions_identical(
-            label,
-            algorithm,
-            seed=0xFA0 + case * 17,
-            inject=lambda bank: inject_class(bank, label, 0xFA0 + case),
-        )
+        tr = activate()
+        try:
+            assert_sessions_identical(
+                label,
+                algorithm,
+                seed=0xFA0 + case * 17,
+                inject=lambda bank: inject_class(bank, label, 0xFA0 + case),
+            )
+        finally:
+            deactivate()
+        assert tr.counters.get("table.lowered_faults") > 0, label
 
 
 def inject_mixed(bank, case) -> None:
@@ -471,12 +535,13 @@ def inject_mixed(bank, case) -> None:
         pick = cell_picker(memory.geometry, make_rng(seed * 1000 + index))
         count = max(1, memory.geometry.cells // 26)
         faults = []
-        for label in sorted(LOWERABLE_CLASSES):
-            rng = make_rng(seed * 1000 + index)
-            faults += [
-                LOWERABLE_CLASSES[label](memory.geometry, pick, rng)
-                for _ in range(count)
-            ]
+        try:
+            for label in sorted(LOWERABLE_CLASSES):
+                rng = make_rng(seed * 1000 + index)
+                for _ in range(count):
+                    faults.append(LOWERABLE_CLASSES[label](memory.geometry, pick, rng))
+        except StopIteration:
+            pass  # a small memory runs out of distinct cells
         rng = make_rng(0xDEF + case * 100 + index)
         pick = cell_picker(memory.geometry, rng)
         faults += [

@@ -7,7 +7,8 @@ remaining fault with the lowest ``(word, -bit)`` primary cell and the
 left-shift capture the lowest ``(word, bit)``, each removed before the
 next pick.  Fault lists with repeated primary cells, DRF on and off and
 ``max_iterations`` cut-offs must give the same report, localization
-order included.
+order included -- also when a sampled population is injected as rows
+(the oracle reads its objects, the scheme its columns).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.baseline.scheme import BaselineReport, HuangJoneScheme, LocalizedFaul
 from repro.faults.base import M1_LOCALIZABLE_CLASSES
 from repro.faults.coupling import InversionCouplingFault
 from repro.faults.injector import FaultInjector
+from repro.faults.population import sample_population
 from repro.faults.retention_fault import DataRetentionFault
 from repro.faults.stuck_at import StuckAtFault
 from repro.faults.transition import TransitionFault
@@ -119,13 +121,23 @@ def oracle_report(bank, injector, include_drf, max_iterations) -> BaselineReport
     return report
 
 
+#: An optional sampled population per memory, injected as rows:
+#: ``(defect rate, seed, before the single faults?)``.
+populations = st.none() | st.tuples(
+    st.sampled_from([0.5, 1.0]), st.integers(0, 1000), st.booleans()
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     per_memory=st.lists(fault_specs, min_size=1, max_size=3),
     include_drf=st.booleans(),
     max_iterations=st.none() | st.integers(min_value=0, max_value=6),
+    population=populations,
 )
-def test_sort_once_matches_min_remove(per_memory, include_drf, max_iterations):
+def test_sort_once_matches_min_remove(
+    per_memory, include_drf, max_iterations, population
+):
     bank = MemoryBank(
         [
             SRAM(MemoryGeometry(WORDS, BITS, f"m{index}"))
@@ -134,7 +146,15 @@ def test_sort_once_matches_min_remove(per_memory, include_drf, max_iterations):
     )
     injector = FaultInjector()
     for memory, specs in zip(bank, per_memory):
+        rows = None
+        if population is not None:
+            rate, seed, first = population
+            rows = sample_population(memory.geometry, rate, rng=seed)
+            if first:
+                injector.inject(memory, rows)
         injector.inject(memory, [make_fault(*spec) for spec in specs])
+        if rows is not None and not first:
+            injector.inject(memory, rows)
 
     actual = HuangJoneScheme(bank).diagnose(
         injector, include_drf=include_drf, max_iterations=max_iterations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.telemetry.core import (
@@ -183,3 +184,42 @@ class TestGlobalHandle:
             assert tracer() is mine
         finally:
             assert set_tracer(NULL_TRACER) is mine
+
+
+class TestGcTelemetry:
+    """An installed tracer counts cyclic collections; the null one does not."""
+
+    @staticmethod
+    def cyclic_garbage(count: int = 100) -> None:
+        for _ in range(count):
+            node: list = []
+            node.append(node)
+
+    def test_counts_collections_while_active(self):
+        tr = activate()
+        try:
+            self.cyclic_garbage()
+            assert gc.collect() >= 100
+        finally:
+            deactivate()
+        assert tr.counters.get("gc.collections") >= 1
+        assert tr.counters.get("gc.gen2.collections") >= 1
+        assert tr.counters.get("gc.ns") > 0
+
+    def test_deactivate_leaves_callbacks_as_they_were(self):
+        before = list(gc.callbacks)
+        activate()
+        activate()
+        try:
+            assert len(gc.callbacks) == len(before) + 1
+        finally:
+            deactivate()
+        assert gc.callbacks == before
+
+    def test_inactive_tracer_counts_nothing(self):
+        tr = activate()
+        deactivate()
+        self.cyclic_garbage()
+        gc.collect()
+        assert tr.counters.get("gc.collections") == 0
+        assert NULL_TRACER.counters.get("gc.collections") == 0
