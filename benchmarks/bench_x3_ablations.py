@@ -1,4 +1,4 @@
-"""X3 -- ablations over the design choices DESIGN.md calls out.
+"""X3 -- ablations over the scheme's design choices.
 
 Four knobs, each isolated:
 

@@ -1,12 +1,15 @@
 """Shared helpers for the benchmark harness.
 
-Every file in this directory regenerates one experiment from the paper's
-evaluation (see DESIGN.md's experiment index and EXPERIMENTS.md for the
-recorded results).  Run with::
+The paper-experiment benches (``bench_e*``, ``bench_eq*``, ``bench_f*``,
+``bench_x*``, ``bench_perf_simulator``) each regenerate one experiment
+from the paper's evaluation and assert the paper's number, or the
+measured deviation from it, in place.  Run each once with::
 
-    pytest benchmarks/ --benchmark-only -s
+    python -m pytest benchmarks -q --benchmark-disable
 
-``-s`` shows the paper-vs-measured tables each benchmark prints.
+or time them, showing the paper-vs-measured tables each prints, with::
+
+    python -m pytest benchmarks --benchmark-only -s
 """
 
 from __future__ import annotations

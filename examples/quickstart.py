@@ -27,7 +27,7 @@ def main() -> None:
     # (stuck-at, transition, coupling and data-retention faults).
     injector = FaultInjector()
     population = sample_population(memory.geometry, defect_rate=0.01, rng=1)
-    injector.inject(memory, population.faults)
+    injector.inject(memory, population)
     print(f"injected {population.size} faults "
           f"({population.retention_faults} of them data-retention)")
 

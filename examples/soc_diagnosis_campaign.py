@@ -21,7 +21,7 @@ def build_faulty_bank(soc, seed):
     injector = FaultInjector()
     for index, memory in enumerate(bank):
         population = sample_population(memory.geometry, 0.005, rng=seed + index)
-        injector.inject(memory, population.faults)
+        injector.inject(memory, population)
     return bank, injector
 
 

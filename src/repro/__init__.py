@@ -23,9 +23,9 @@ Quickstart::
 
     memory = SRAM(MemoryGeometry(512, 100, "esram_0"))
     injector = FaultInjector()
-    injector.inject(memory, sample_population(memory.geometry, 0.01).faults)
+    injector.inject(memory, sample_population(memory.geometry, 0.01))
     report = FastDiagnosisScheme(MemoryBank([memory])).diagnose()
-    print("\n".join(report.summary_lines()))
+    print("\\n".join(report.summary_lines()))
 """
 
 from repro.baseline import HuangJoneScheme

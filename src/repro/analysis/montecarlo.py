@@ -68,7 +68,7 @@ def emergent_k_distribution(
     for seed in seeds:
         memory = SRAM(geometry)
         injector = FaultInjector()
-        injector.inject(memory, sample_population(geometry, defect_rate, rng=seed).faults)
+        injector.inject(memory, sample_population(geometry, defect_rate, rng=seed))
         report = HuangJoneScheme(MemoryBank([memory])).diagnose(injector)
         iterations.append(report.iterations)
     return Distribution.of(iterations)
@@ -87,7 +87,7 @@ def reduction_distribution(
     for seed in seeds:
         memory = SRAM(geometry)
         injector = FaultInjector()
-        injector.inject(memory, sample_population(geometry, defect_rate, rng=seed).faults)
+        injector.inject(memory, sample_population(geometry, defect_rate, rng=seed))
         report = HuangJoneScheme(MemoryBank([memory])).diagnose(injector)
         baseline_ns = baseline_diagnosis_time_ns(
             geometry.words, geometry.bits, period_ns, report.iterations

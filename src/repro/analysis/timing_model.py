@@ -9,7 +9,7 @@ t = 10 ns, 1 % defects -> 256 faults -> k = 96):
 Evaluating the paper's own equations literally gives 84.15 and 143.4; the
 remaining ~1 % gap to "145" disappears if reads are charged ``c`` instead
 of ``c + 1`` cycles (the :func:`paper_read_cost_variant`), so we report
-both and record the discrepancy in EXPERIMENTS.md.
+both; ``tests/analysis/test_timing_and_area.py`` pins them.
 """
 
 from __future__ import annotations

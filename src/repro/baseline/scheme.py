@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from repro.baseline.diag_rsmarch import DiagRSMarch, min_iterations
+from repro.baseline.diag_rsmarch import DiagRSMarch
 from repro.baseline.timing import (
     DRF_PAUSE_TOTAL_NS,
     baseline_diagnosis_time_ns,
@@ -272,17 +272,6 @@ class HuangJoneScheme:
         else:
             self._diagnose_effective(injector, report, max_iterations)
         return report
-
-    def expected_iterations(self, injector: FaultInjector) -> int:
-        """The paper's minimum-k for the injected population."""
-        per_memory = []
-        for memory in self.bank:
-            faults = injector.faults_for(memory.name)
-            localizable = sum(
-                1 for f in faults if f.fault_class in M1_LOCALIZABLE_CLASSES
-            )
-            per_memory.append(min_iterations(localizable, kernel_share=1.0))
-        return max(per_memory, default=0)
 
     # ------------------------------------------------------------------ #
     # Effective mode                                                     #

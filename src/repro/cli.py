@@ -46,7 +46,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     memory = SRAM(geometry, period_ns=args.period_ns)
     injector = FaultInjector()
     population = sample_population(geometry, args.defect_rate, rng=args.seed)
-    injector.inject(memory, population.faults)
+    injector.inject(memory, population)
     print(
         f"injected {population.size} faults at a "
         f"{args.defect_rate:.2%} defect rate (seed {args.seed})"

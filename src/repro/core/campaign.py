@@ -15,7 +15,6 @@ from repro.baseline.scheme import BaselineReport, HuangJoneScheme
 from repro.core.repair import RepairController, RepairResult
 from repro.core.report import ProposedReport
 from repro.core.scheme import FastDiagnosisScheme
-from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
 from repro.faults.population import FaultPopulation, sample_population
 from repro.memory.sram import SRAM
@@ -28,12 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.defects import DefectProfile
     from repro.memory.bank import MemoryBank
 
-#: Population sampler: maps ``(bank_index, memory)`` to the faults to
-#: inject into that memory, a fault list or a columnar
-#: :class:`~repro.faults.population.FaultPopulation`.  The default samples
-#: a uniform-rate population; scenario workloads plug in
-#: spatially-correlated samplers.
-PopulationSampler = Callable[[int, SRAM], "list[Fault] | FaultPopulation"]
+#: Population sampler: maps ``(bank_index, memory)`` to the columnar
+#: :class:`~repro.faults.population.FaultPopulation` to inject into that
+#: memory.  The default samples a uniform-rate population; scenario
+#: workloads plug in spatially-correlated samplers.
+PopulationSampler = Callable[[int, SRAM], FaultPopulation]
 
 
 @dataclass
@@ -121,9 +119,9 @@ class DiagnosisCampaign:
         #: instead of the closed-form effective mode.  Exact but
         #: ``O(k * n * c)`` -- intended for small geometries.
         self.baseline_bit_accurate = baseline_bit_accurate
-        #: Per-bank-position faults as sampled: never attached, only
+        #: Per-bank-position populations as sampled: never attached, only
         #: copied (see :meth:`faulty_bank`).
-        self._pristine: list[list[Fault] | FaultPopulation] | None = None
+        self._pristine: list[FaultPopulation] | None = None
 
     def _default_sampler(self, index: int, memory: SRAM) -> FaultPopulation:
         """Uniform-rate population, seeded per bank position."""
@@ -139,27 +137,25 @@ class DiagnosisCampaign:
 
         The population is sampled once per campaign, on the first call,
         and kept pristine: every call materializes new SRAM instances and
-        injects fresh copies of those faults (stateful fault models must
-        not be shared between sessions) -- a copy of a columnar
-        population's rows, attached as one record, or clones of a
-        sampler's fault list.  A campaign builds one bank for
-        its proposed, repair and verification sessions -- or, for
-        multi-session scenario flows, its chained
-        diagnose/repair/retest stages -- and a second one only for a
-        bit-accurate baseline (see :meth:`baseline_inputs`).
+        attaches a fresh copy of each memory's rows as one record (row
+        state -- DRF clocks, live flags -- must not be shared between
+        sessions).  A campaign builds one bank for its proposed, repair
+        and verification sessions -- or, for multi-session scenario
+        flows, its chained diagnose/repair/retest stages -- and a second
+        one only for a bit-accurate baseline (see :meth:`baseline_inputs`).
         """
         bank = self.soc.build_bank()
         if self._pristine is None:
             sampler = self.sampler or self._default_sampler
-            self._pristine = [
-                sampler(index, memory) for index, memory in enumerate(bank)
-            ]
+            pristine = [sampler(index, memory) for index, memory in enumerate(bank)]
+            require(
+                all(isinstance(p, FaultPopulation) for p in pristine),
+                "a campaign sampler must return a FaultPopulation",
+            )
+            self._pristine = pristine
         injector = FaultInjector()
-        for memory, faults in zip(bank, self._pristine):
-            if isinstance(faults, FaultPopulation):
-                injector.inject(memory, faults.copy())
-            else:
-                injector.inject(memory, [fault.clone() for fault in faults])
+        for memory, population in zip(bank, self._pristine):
+            injector.inject(memory, population.copy())
         return bank, injector
 
     def run(

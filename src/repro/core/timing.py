@@ -57,7 +57,7 @@ def proposed_drf_extra_ns(words: int, bits: int, period_ns: float) -> float:
 
     Zero pause time -- the whole point of NWRTM.  (Our executable merge
     costs nothing at all; this is the paper's own, slightly conservative,
-    accounting.  See DESIGN.md.)
+    accounting.  :mod:`repro.march.library` explains the merge.)
     """
     require_positive(period_ns, "period_ns")
     return (2 * words + 2 * bits) * period_ns

@@ -159,17 +159,6 @@ class Fault:
         """Install this fault into ``memory``."""
         raise NotImplementedError
 
-    def clone(self) -> "Fault":
-        """An independent copy carrying this fault's current state.
-
-        Attribute-for-attribute: a subclass owning a mutable helper
-        object must copy it too, so the twin never shares state with the
-        original.
-        """
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        return twin
-
     def vector_lowerable(self) -> bool:
         """Whether this fault can be compiled into the vectorized table.
 

@@ -19,6 +19,8 @@ from collections import Counter
 from repro.faults.base import Fault, FaultClass, M1_LOCALIZABLE_CLASSES
 from repro.faults.defects import (
     DefectProfile,
+    ROW_CF_IN,
+    ROW_CF_ST,
     ROW_DRF,
     defect_row,
     fault_from_row,
@@ -164,7 +166,8 @@ class FaultPopulation:
             for index, row in enumerate(np.asarray(rows).tolist()):
                 fault = self._objects[row]
                 if fault is not None:
-                    written = fault._written_at_ns
+                    # Only DRF objects keep a clock; other rows stay NaN.
+                    written = getattr(fault, "_written_at_ns", None)
                     clocks[index] = math.nan if written is None else written
         return clocks
 
@@ -240,10 +243,31 @@ class FaultPopulation:
         # word's cell id.
         return int(np.count_nonzero(found & (self.victim_bit < bits)))
 
-    def attach_all(self, memory) -> None:
-        """Install every fault into ``memory`` as an object."""
-        for fault in self.faults:
-            fault.attach(memory)
+    def check_rows(self, words: int, bits: int, owner: str) -> None:
+        """Raise ``ValueError`` on a row the reference cannot build.
+
+        Kinds, 0/1 parameters and cells inside ``words`` x ``bits`` are
+        read off the columns' minima and maxima; an aggressor belongs to
+        coupling rows only (other rows carry -1 cells).
+        """
+        low = self.columns.min(axis=1).tolist()
+        high = self.columns.max(axis=1).tolist()
+        if low[0] < 0 or high[0] > ROW_CF_ST:
+            problem = f"row kinds outside 0..{ROW_CF_ST}"
+        elif min(low[5:]) < 0 or max(high[5:]) > 1:
+            problem = "row values outside 0..1"
+        elif (
+            min(low[1:3]) < 0
+            or min(low[3:5]) < -1
+            or max(high[1], high[3]) >= words
+            or max(high[2], high[4]) >= bits
+        ):
+            problem = f"cells outside {words}x{bits}"
+        elif not ((self.columns[3:5] >= 0) == (self.kind >= ROW_CF_IN)).all():
+            problem = "aggressors must be set on coupling rows only"
+        else:
+            return
+        raise ValueError(f"{owner}: population {problem}")
 
     def __repr__(self) -> str:
         return (

@@ -4,7 +4,7 @@ This subpackage provides the test-algorithm substrate the paper builds on:
 
 * March operations (including the NWRC writes ``Nw0``/``Nw1`` of NWRTM),
 * March elements and algorithms (MATS+, March C- [12], March CW [13], and
-  the NWRTM-merged variants reconstructed in DESIGN.md),
+  the NWRTM-merged variants :mod:`repro.march.library` reconstructs),
 * multi-background generation (solid, checkerboard, log2-c column stripes),
 * a RAMSES-style simulator that runs an algorithm against a faulty
   :class:`repro.memory.SRAM` and records every mismatching read,

@@ -3,7 +3,7 @@
 All generators bind an algorithm to a concrete word width ``bits`` so that
 multi-background Marches carry concrete background words.
 
-The NWRTM-merged variants follow the reconstruction in DESIGN.md.  An NWRC
+The NWRTM-merged variants are reconstructed as follows.  An NWRC
 behaves exactly like a normal write on every fault class *except* that DRF
 and weak cells fail to flip under it, so replacing a normal write with an
 NWRC write can only gain coverage.  We therefore merge NWRTM by
@@ -20,8 +20,8 @@ any(r0)``
 Every March C- element is otherwise intact, so logical coverage is exactly
 March C-'s, and the merge costs *zero* extra operations.  The paper instead
 charges two added NWRC elements -- "(2n + 2c)t" in Eq. (4) -- and the
-closed-form model in :mod:`repro.core.timing` reproduces that accounting;
-the 0.12 % difference for the case study is recorded in EXPERIMENTS.md.
+closed-form model in :mod:`repro.core.timing` reproduces that accounting,
+0.12 % of the case study's session (``TestMarchCNW`` pins the free merge).
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def march_cw(bits: int) -> MarchAlgorithm:
     The extension exposes intra-word coupling and column-decoder faults
     that solid backgrounds cannot see.
 
-    Coverage note (a reproduction finding, see DESIGN.md): the paper's own
+    Coverage note (a reproduction finding, pinned by
+    ``tests/march/test_cw_reduction_gap.py``): the paper's own
     Eq. (2) budget -- 3 writes + 2 reads per address per extra background --
     leaves each set's final write unverified, so one polarity of intra-word
     idempotent coupling between a bit pair that differs in only one

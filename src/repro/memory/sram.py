@@ -171,18 +171,13 @@ class SRAM:
         and the vector engine lowers them from their columns.  The first
         operation that acts on fault objects -- attaching or removing a
         single fault, :attr:`cell_faults`, or any read or write -- builds
-        them into the index in row order.  An empty population attaches
-        nothing.
+        them into the index in row order.  Malformed rows raise here
+        (:meth:`~repro.faults.population.FaultPopulation.check_rows`); an
+        empty population attaches nothing.
         """
         if not population.size:
             return
-        words, bits = self.geometry.words, self.geometry.bits
-        # Rows 1-4 of the columns: victim and aggressor words and bits.
-        top = population.columns[1:5].max(axis=1).tolist()
-        require(
-            max(top[0], top[2]) < words and max(top[1], top[3]) < bits,
-            f"{self.name}: population cells outside {words}x{bits}",
-        )
+        population.check_rows(self.geometry.words, self.geometry.bits, self.name)
         self._populations.append(population)
 
     def _index_populations(self) -> None:

@@ -35,7 +35,7 @@ from repro.core.scheme import FastDiagnosisScheme
 from repro.engine.aggregate import CampaignSummary
 from repro.faults.base import Fault
 from repro.faults.intermittent import sample_intermittent_population
-from repro.faults.population import sample_population
+from repro.faults.population import FaultPopulation, sample_population
 from repro.memory.sram import SRAM
 from repro.scenarios.cluster import assign_rates
 from repro.scenarios.spec import ScenarioSpec
@@ -200,13 +200,13 @@ def clustered_sampler(spec: ScenarioSpec, rates: dict[str, float], seed: int):
     """
     profile = spec.build_profile()
 
-    def sampler(index: int, memory: SRAM) -> list[Fault]:
+    def sampler(index: int, memory: SRAM) -> FaultPopulation:
         return sample_population(
             memory.geometry,
             rates[memory.name],
             profile=profile,
             rng=derive_seed(seed, _FAULT_STREAM, name_seed(memory.name)),
-        ).faults
+        )
 
     return sampler
 
@@ -223,11 +223,6 @@ def burn_in_population(
             seed=mix_seed(seed, _BURN_IN_STREAM, name_seed(memory.name)),
         )
     )
-
-
-def _victim_ids(fault: Fault, bits: int) -> set[int]:
-    """A fault's victim cells as ``word * bits + bit`` ids."""
-    return {victim.word * bits + victim.bit for victim in fault.victims}
 
 
 def run_scenario_campaign(
@@ -392,20 +387,18 @@ def run_scenario_campaign(
     # session of the flow, and intermittent detection at burn-in.  Under
     # ECC, an escape whose victims the decoder corrected somewhere in the
     # flow is an *ECC-masked* escape -- the defect fired, the on-die
-    # correction hid it from every session.
-    total = 0
+    # correction hid it from every session.  Each population row has
+    # exactly one victim, so both counts are victim lookups over rows.
     escaped = 0
     masked_escaped = 0
     for name in injector.memories():
-        seen = detected.get(name, set())
-        corrected = ecc_corrected.get(name, set())
-        for fault in injector.faults_for(name):
-            total += 1
-            victims = _victim_ids(fault, bits[name])
-            if seen.isdisjoint(victims):
-                escaped += 1
-                if not corrected.isdisjoint(victims):
-                    masked_escaped += 1
+        seen = detected[name]
+        localized = sorted(seen)
+        masked = sorted(ecc_corrected[name] - seen)
+        for population in injector.entries(name):
+            escaped += population.size - population.victims_hit(localized, bits[name])
+            masked_escaped += population.victims_hit(masked, bits[name])
+    total = injector.total
     report.escaped_faults = escaped
     report.ecc_masked_escaped = masked_escaped
     report.localization_rate = 1.0 if total == 0 else 1.0 - escaped / total
@@ -414,7 +407,7 @@ def run_scenario_campaign(
         1
         for name, faults in intermittent.items()
         for fault in faults
-        if not burn_detected.get(name, set()).isdisjoint(_victim_ids(fault, bits[name]))
+        if any(v.word * bits[name] + v.bit in burn_detected[name] for v in fault.victims)
     )
     return report
 

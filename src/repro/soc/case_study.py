@@ -28,7 +28,7 @@ CASE_STUDY_FAULTS = 256
 #: ceil(256 * 0.75 / 2)
 CASE_STUDY_ITERATIONS = 96
 
-#: The paper's claims, recorded for EXPERIMENTS.md comparisons.
+#: The paper's claims, which the benches and tests compare measurements to.
 PAPER_REDUCTION_NO_DRF = 84.0
 PAPER_REDUCTION_WITH_DRF = 145.0
 PAPER_AREA_OVERHEAD = 0.018

@@ -33,8 +33,8 @@ def format_table(
     """Render rows as an aligned plain-text table.
 
     Accepts either mappings (headers default to the first row's keys) or
-    sequences (headers required).  Used by benchmarks to print the
-    paper-vs-measured rows recorded in EXPERIMENTS.md.
+    sequences (headers required).  Used by the benches under
+    ``benchmarks/`` to print their paper-vs-measured rows.
     """
     materialized = list(rows)
     if not materialized:

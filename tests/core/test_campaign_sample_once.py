@@ -1,67 +1,28 @@
-"""Sample-once populations: one draw per memory, independent bank clones."""
+"""Sample-once populations: one draw per memory, independent row copies per bank."""
 
 from __future__ import annotations
 
-import enum
-
+import numpy as np
 import pytest
 
 from repro.core.campaign import DiagnosisCampaign
+from repro.core.repair import RepairController
 from repro.core.scheme import FastDiagnosisScheme
-from repro.faults.address_fault import AddressOpenFault
-from repro.faults.coupling import (
-    IdempotentCouplingFault,
-    InversionCouplingFault,
-    StateCouplingFault,
-)
-from repro.faults.dynamic import (
-    DeceptiveReadDestructiveFault,
-    IncorrectReadFault,
-    ReadDestructiveFault,
-    WriteDisturbFault,
-)
-from repro.faults.intermittent import IntermittentReadFault, SoftErrorUpsetFault
-from repro.faults.retention_fault import DataRetentionFault
+from repro.faults.population import sample_population
 from repro.faults.stuck_at import StuckAtFault
-from repro.faults.transition import TransitionFault
-from repro.faults.weak_cell import WeakCellDefect
 from repro.memory.geometry import CellRef, MemoryGeometry
 from repro.soc.chip import SoCConfig
 
-#: Types whose instances are immutable values a clone may share.
-IMMUTABLE = (int, float, str, bool, tuple, type(None), enum.Enum, CellRef)
 
-
-def library(memory) -> list:
-    """One fault of every library class."""
-    cell = CellRef
-
-    return [
-        StuckAtFault(cell(0, 0), value=1),
-        TransitionFault(cell(1, 0), rising=True),
-        InversionCouplingFault(cell(2, 1), cell(3, 1), trigger_rising=True),
-        IdempotentCouplingFault(cell(4, 1), cell(5, 1), True, 1),
-        StateCouplingFault(cell(6, 1), cell(7, 1), 1, 0),
-        DataRetentionFault(cell(8, 0), fragile_value=1),
-        IncorrectReadFault(cell(9, 0)),
-        ReadDestructiveFault(cell(10, 0)),
-        DeceptiveReadDestructiveFault(cell(11, 0)),
-        WriteDisturbFault(cell(12, 0)),
-        WeakCellDefect(cell(13, 0), weak_value=1),
-        IntermittentReadFault(cell(14, 0), 0.5, seed=7),
-        SoftErrorUpsetFault(cell(15, 0), 0.5, seed=8),
-        AddressOpenFault(memory.words - 1, memory.bits),
-    ]
-
-
-def shared_mutable_state(one, other) -> list[str]:
-    """Attributes through which two faults could influence each other."""
-    assert one is not other and type(one) is type(other)
-    return [
-        name
-        for name, value in vars(one).items()
-        if not isinstance(value, IMMUTABLE) and vars(other)[name] is value
-    ]
+def make_campaign(sampler) -> DiagnosisCampaign:
+    soc = SoCConfig(
+        name="two-buffers",
+        geometries=[MemoryGeometry(32, 8, "a"), MemoryGeometry(32, 8, "b")],
+    )
+    # The batched backend compiles the bucket's rows into a fault table
+    # without building them, so a session moves the rows' own DRF clocks
+    # and repair clears their live flags.
+    return DiagnosisCampaign(soc, seed=5, backend="batched", sampler=sampler)
 
 
 @pytest.fixture
@@ -70,20 +31,24 @@ def campaign():
 
     def sampler(index, memory):
         calls.append(memory.name)
-        return library(memory)
+        return sample_population(memory.geometry, 0.2, rng=index)
 
-    soc = SoCConfig(
-        name="two-buffers",
-        geometries=[MemoryGeometry(32, 8, "a"), MemoryGeometry(16, 4, "b")],
-    )
-    campaign = DiagnosisCampaign(
-        soc,
-        seed=5,
-        backend="reference",
-        sampler=sampler,
-    )
+    campaign = make_campaign(sampler)
     campaign.sampler_calls = calls
     return campaign
+
+
+def populations(bank, injector) -> list:
+    """Each memory's one injected population, in bank order."""
+    found = []
+    for memory in bank:
+        (population,) = injector.entries(memory.name)
+        found.append(population)
+    return found
+
+
+def clocks(population) -> np.ndarray:
+    return population.drf_clocks(np.arange(population.size))
 
 
 class TestSampleOnce:
@@ -98,37 +63,66 @@ class TestSampleOnce:
         assert len(campaign.sampler_calls) == len(campaign.soc.geometries)
 
     def test_banks_share_no_mutable_fault_state(self, campaign):
-        first_bank, first = campaign.faulty_bank()
-        second_bank, second = campaign.faulty_bank()
-        for memory in first_bank:
-            pairs = list(
-                zip(first.faults_for(memory.name), second.faults_for(memory.name))
-            )
-            assert len(pairs) == len(library(memory))
-            for one, other in pairs:
-                assert shared_mutable_state(one, other) == []
-                assert one.describe() == other.describe()
+        first = populations(*campaign.faulty_bank())
+        second = populations(*campaign.faulty_bank())
+        for one, other, pristine in zip(first, second, campaign._pristine):
+            assert one.size == other.size > 0
+            # The read-only rows are shared; the row state is not.
+            assert one.columns is other.columns is pristine.columns
+            for state in ("written_at", "live"):
+                arrays = [getattr(p, state) for p in (one, other, pristine)]
+                assert not any(
+                    np.shares_memory(a, b)
+                    for i, a in enumerate(arrays)
+                    for b in arrays[i + 1 :]
+                )
+            for row in range(one.size):
+                assert one.fault(row) is not other.fault(row)
+                assert one.fault(row).describe() == other.fault(row).describe()
 
     def test_sessions_on_one_bank_leave_the_other_pristine(self, campaign):
-        first_bank, first = campaign.faulty_bank()
-        FastDiagnosisScheme(first_bank).diagnose()
-        second_bank, second = campaign.faulty_bank()
-        name = first_bank[0].name
-        used = first.faults_for(name)
-        fresh = second.faults_for(name)
-        # The first bank's stateful faults moved; the clone starts over.
-        assert any(fault._draws for fault in used if hasattr(fault, "_draws"))
-        assert all(
-            fault._draws == 0 for fault in fresh if hasattr(fault, "_draws")
-        )
-        # Twin sessions agree: the clones behave like the sampled faults.
+        bank, injector = campaign.faulty_bank()
+        scheme = FastDiagnosisScheme(bank)
+        report = campaign.diagnose_proposed(scheme)
+        RepairController(bank, campaign.spares_per_memory).apply(report)
+        used = populations(bank, injector)
+        fresh_bank, fresh_injector = campaign.faulty_bank()
+        fresh = populations(fresh_bank, fresh_injector)
+        # The first bank's DRF clocks and live flags moved; the copy
+        # starts over.
+        assert any(not np.isnan(clocks(p)).all() for p in used)
+        assert not all(p.live.all() for p in used)
+        for population in fresh:
+            assert np.isnan(clocks(population)).all()
+            assert population.live.all()
+            assert population.built_rows() == []
+        # Twin sessions agree: the copies behave like the sampled rows.
+        twin_bank, _ = campaign.faulty_bank()
         assert (
-            FastDiagnosisScheme(second_bank).diagnose().failures
-            == FastDiagnosisScheme(campaign.faulty_bank()[0]).diagnose().failures
+            FastDiagnosisScheme(fresh_bank).diagnose().failures
+            == FastDiagnosisScheme(twin_bank).diagnose().failures
         )
 
     def test_pristine_faults_are_never_attached(self, campaign):
         bank, _ = campaign.faulty_bank()
-        attached = {id(fault) for memory in bank for fault in memory.cell_faults}
-        pristine = {id(fault) for faults in campaign._pristine for fault in faults}
-        assert attached and not attached & pristine
+        attached = [p for memory in bank for p in memory.fault_records()[1]]
+        assert len(attached) == len(bank)
+        assert not any(p is q for p in attached for q in campaign._pristine)
+        # Sessions and repair on the campaign's banks never reach the
+        # pristine rows.
+        campaign.run(include_baseline=True, repair=True)
+        FastDiagnosisScheme(bank).diagnose()
+        for population in campaign._pristine:
+            assert population.built_rows() == []
+            assert np.isnan(population.written_at).all()
+            assert population.live.all()
+
+
+class TestSamplerContract:
+    def test_a_fault_list_is_rejected(self):
+        def sampler(index, memory):
+            return [StuckAtFault(CellRef(0, 0), value=1)]
+
+        campaign = make_campaign(sampler)
+        with pytest.raises(ValueError, match="must return a FaultPopulation"):
+            campaign.faulty_bank()

@@ -1,11 +1,22 @@
 """Unit tests for defect profiles, populations and the injector."""
 
+import numpy as np
 import pytest
 
 from repro.faults.base import FaultClass, M1_LOCALIZABLE_CLASSES
-from repro.faults.defects import DefectProfile, DefectType, fault_for_defect
+from repro.faults.defects import (
+    ROW_CF_IN,
+    DefectProfile,
+    DefectType,
+    fault_for_defect,
+)
 from repro.faults.injector import FaultInjector
-from repro.faults.population import expected_fault_count, sample_population
+from repro.faults.population import (
+    ROW_COLUMNS,
+    FaultPopulation,
+    expected_fault_count,
+    sample_population,
+)
 from repro.faults.stuck_at import StuckAtFault
 from repro.memory.geometry import CellRef, MemoryGeometry
 from repro.memory.sram import SRAM
@@ -109,15 +120,67 @@ class TestSamplePopulation:
         population = sample_population(MemoryGeometry(64, 16), 0.0)
         assert population.size == 0
 
-    def test_attach_all(self):
-        population = sample_population(MemoryGeometry(16, 8), 0.05, rng=2)
-        memory = SRAM(MemoryGeometry(16, 8))
-        population.attach_all(memory)
-        assert len(memory.cell_faults) == population.size
-
     def test_class_histogram_sums_to_size(self):
         population = sample_population(MemoryGeometry(64, 16), 0.05, rng=9)
         assert sum(population.class_histogram().values()) == population.size
+
+
+class TestMalformedRows:
+    """A row the reference could not build is rejected when it attaches.
+
+    Forty stuck-at rows on distinct words give a batched bucket enough
+    hooked rows to compile a fault table, which would otherwise run a
+    malformed row silently.
+    """
+
+    GEOMETRY = MemoryGeometry(64, 8, "m")
+
+    def rows(self, **fields) -> FaultPopulation:
+        """Forty stuck-at-0 rows, with ``fields`` replacing row 0's values."""
+        columns = np.zeros((len(ROW_COLUMNS), 40), dtype=np.int64)
+        columns[ROW_COLUMNS.index("victim_word")] = np.arange(40)
+        columns[ROW_COLUMNS.index("aggressor_word")] = -1
+        columns[ROW_COLUMNS.index("aggressor_bit")] = -1
+        for name, value in fields.items():
+            columns[ROW_COLUMNS.index(name), 0] = value
+        return FaultPopulation(self.GEOMETRY, 0.0, columns)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"victim_word": -3}, "cells outside 64x8"),
+            ({"victim_bit": 8}, "cells outside 64x8"),
+            (
+                {"kind": ROW_CF_IN, "aggressor_word": 64, "aggressor_bit": 0},
+                "cells outside 64x8",
+            ),
+            ({"kind": -1}, "row kinds outside"),
+            ({"kind": 6}, "row kinds outside"),
+            ({"value": 2}, "row values outside 0..1"),
+            ({"forced": -1}, "row values outside 0..1"),
+            ({"kind": ROW_CF_IN}, "aggressors must be set on coupling rows only"),
+            (
+                {"aggressor_word": 1, "aggressor_bit": 0},
+                "aggressors must be set on coupling rows only",
+            ),
+        ],
+        ids=[
+            "negative-word",
+            "bit-too-wide",
+            "aggressor-outside",
+            "negative-kind",
+            "unknown-kind",
+            "value-2",
+            "negative-forced",
+            "coupling-without-aggressor",
+            "single-cell-with-aggressor",
+        ],
+    )
+    def test_malformed_row_raises_at_attach(self, fields, message):
+        memory = SRAM(self.GEOMETRY)
+        with pytest.raises(ValueError, match=f"^m: population {message}"):
+            FaultInjector().inject(memory, self.rows(**fields))
+        assert memory.fault_records() == ([], [])
 
 
 class TestInjector:

@@ -1,6 +1,6 @@
 """The reduced March CW extension's intra-word CFid polarity gap.
 
-A reproduction finding (documented in DESIGN.md / EXPERIMENTS.md): the
+A reproduction finding (see also :func:`repro.march.library.march_cw`): the
 paper's Eq. (2) charges 3 writes + 2 reads per address per extension
 background, so each per-background set necessarily leaves its final write
 unverified.  For a bit pair that differs in exactly one background (e.g.

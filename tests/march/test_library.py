@@ -39,7 +39,7 @@ class TestMarchCMinus:
 
 class TestMarchCNW:
     def test_same_cost_as_march_c_minus(self):
-        """The replacement merge adds zero operations (DESIGN.md)."""
+        """The replacement merge adds zero operations (see repro.march.library)."""
         base = operation_counts(march_c_minus(4), 10)
         merged = operation_counts(march_c_nw(4), 10)
         assert merged.operations == base.operations

@@ -160,6 +160,12 @@ class TestPopulationRecord:
         with pytest.raises(ValueError):
             twin.victim_word[0] = 0
 
+    def test_copy_after_building_every_row(self):
+        # Only DRF objects keep a clock: the other built rows copy as NaN.
+        population = self.population()
+        population.faults
+        assert np.isnan(population.copy().written_at).all()
+
     def test_drf_clock_has_one_home(self):
         population = self.population()
         drf = np.flatnonzero(

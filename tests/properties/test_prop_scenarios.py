@@ -140,8 +140,8 @@ class TestMeanConvergence:
             sampler = clustered_sampler(SPEC, rates, SPEC.campaign_seed(index))
             for position, geometry in enumerate(soc.geometries):
                 memory = SRAM(geometry)
-                faults = sampler(position, memory)
-                assert len(faults) == expected_fault_count(
+                population = sampler(position, memory)
+                assert population.size == expected_fault_count(
                     geometry, rates[geometry.name]
                 )
 

@@ -5,9 +5,9 @@ Three transformations that must be behavioural no-ops:
 * **memory relabeling** -- permuting the order of the SoC's memory list
   (placements and fault streams are keyed by *name*, the controller by
   the bank's extrema, so nothing observable may move);
-* **fault-injection order** -- permuting the order faults are attached
-  to a memory (faults target distinct victims; hook dispatch must not
-  depend on attach order);
+* **fault-injection order** -- permuting the rows of a memory's
+  population, hence the order their faults attach (faults target
+  distinct victims; hook dispatch must not depend on attach order);
 * **floorplan symmetry** -- reflecting or translating cluster centers
   *and* placements together preserves every center-to-memory distance,
   hence every assigned rate, hence the whole flow outcome.
@@ -23,6 +23,7 @@ import dataclasses
 import pytest
 
 from repro.core.campaign import DiagnosisCampaign
+from repro.faults.population import FaultPopulation
 from repro.scenarios import ClusterField, ScenarioSpec, run_scenario_campaign
 from repro.scenarios.cluster import assign_rates
 from repro.scenarios.flow import clustered_sampler
@@ -96,22 +97,34 @@ class TestMemoryRelabeling:
 
 
 class TestInjectionOrder:
-    @staticmethod
-    def run_with_order(permute) -> object:
-        soc = SPEC.build_soc()
-        floorplan = SPEC.build_floorplan(soc)
-        rates = assign_rates(SPEC.cluster_field(0), floorplan)
-        seed = SPEC.campaign_seed(0)
-        inner = clustered_sampler(SPEC, rates, seed)
+    # Dense enough that every memory draws several rows (4, 8 and 4), so
+    # each permutation reorders something.
+    SPEC = dataclasses.replace(SPEC, base_defect_rate=0.1, cluster_peak_rate=0.2)
+
+    @classmethod
+    def run_with_order(cls, permute) -> object:
+        spec = cls.SPEC
+        soc = spec.build_soc()
+        floorplan = spec.build_floorplan(soc)
+        rates = assign_rates(spec.cluster_field(0), floorplan)
+        seed = spec.campaign_seed(0)
+        inner = clustered_sampler(spec, rates, seed)
 
         def sampler(index, memory):
-            return permute(inner(index, memory))
+            population = inner(index, memory)
+            order = permute(list(range(population.size)))
+            # A test-local copy of the population with its rows permuted.
+            return FaultPopulation(
+                population.geometry,
+                population.defect_rate,
+                population.columns[:, order],
+            )
 
         campaign = DiagnosisCampaign(
             soc,
             seed=seed,
-            spares_per_memory=SPEC.spares_per_memory,
-            backend=SPEC.backend,
+            spares_per_memory=spec.spares_per_memory,
+            backend=spec.backend,
             sampler=sampler,
         )
         return campaign.run(include_baseline=True, repair=True)
@@ -119,13 +132,13 @@ class TestInjectionOrder:
     @pytest.mark.parametrize(
         "permute",
         [
-            lambda faults: list(reversed(faults)),
-            lambda faults: faults[1::2] + faults[::2],
+            lambda rows: list(reversed(rows)),
+            lambda rows: rows[1::2] + rows[::2],
         ],
         ids=["reversed", "interleaved"],
     )
     def test_permuting_fault_attachment_order_is_a_no_op(self, permute):
-        reference = self.run_with_order(lambda faults: faults)
+        reference = self.run_with_order(lambda rows: rows)
         permuted = self.run_with_order(permute)
         assert permuted.proposed.failures == reference.proposed.failures
         assert permuted.baseline.localized == reference.baseline.localized
