@@ -238,7 +238,6 @@ def measure_engine_throughput(
             "elapsed_s": fleet_report.elapsed_s,
             "campaigns_per_sec": fleet_report.campaigns_per_sec,
             "mean_reduction_factor": fleet_report.reduction.mean,
-            "plan_cache_hit_rate": fleet_report.plan_cache_hit_rate,
         },
     }
 

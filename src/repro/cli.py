@@ -205,14 +205,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_checkpoint_args(args: argparse.Namespace) -> tuple[str | None, bool] | int:
-    """Validate the --checkpoint/--resume pair (returns an exit code on error)."""
+def _resume_without_checkpoint(args: argparse.Namespace) -> bool:
+    """True (after printing the error) when --resume lacks --checkpoint."""
     import sys
 
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
-        return 2
-    return args.checkpoint, args.resume
+        return True
+    return False
 
 
 #: Exit code of an interrupted checkpointed run (128 + SIGINT), distinct
@@ -289,22 +289,67 @@ def _export_telemetry(telemetry, args: argparse.Namespace, quiet: bool) -> None:
             print(f"telemetry metrics written to {args.metrics_out}")
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
+def _run_fleet_command(args: argparse.Namespace, spec, run) -> int:
+    """Run a fleet-shaped ``spec`` and print its report (fleet and scenario).
+
+    ``run`` is :func:`~repro.engine.fleet.run_fleet` or a runner with its
+    signature; the scheduling, checkpoint, retry and telemetry options
+    come from ``args``.  Prints the ``{"spec", "result", "run"}`` document
+    under ``--json``, the summary otherwise.
+    """
     import json
     import sys
 
-    from repro.engine import (
-        CheckpointError,
-        FleetSpec,
-        available_backends,
-        run_fleet,
-    )
+    from repro.engine import CheckpointError
 
-    checkpointing = _resolve_checkpoint_args(args)
-    if isinstance(checkpointing, int):
-        return checkpointing
-    checkpoint, resume = checkpointing
+    progress = None
+    if not args.json:
+
+        def progress(done: int, total: int) -> None:
+            print(f"  {done}/{total} campaigns done", flush=True)
+
     retry, on_chunk_failure = _resolve_retry_args(args)
+    try:
+        report = run(
+            spec,
+            workers=args.workers,
+            chunk_size=args.chunk_size,
+            progress=progress,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+            telemetry=_telemetry_requested(args),
+            retry=retry,
+            on_chunk_failure=on_chunk_failure,
+        )
+    except CheckpointError as error:
+        print(f"checkpoint error: {error}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        if args.checkpoint:
+            # Finished chunks are already on disk; tell the operator how
+            # much survived and exactly how to pick the run back up.
+            return _report_chunk_interrupt(args, args.checkpoint)
+        raise
+    if args.json:
+        payload = {"spec": spec.to_dict(), **report.to_json_dict()}
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(report.summary_lines()))
+        if report.telemetry is not None:
+            print("\n".join(report.telemetry.summary_lines()))
+    if report.telemetry is not None:
+        _export_telemetry(report.telemetry, args, quiet=args.json)
+    return 0
+
+
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    import functools
+    import sys
+
+    from repro.engine import FleetSpec, available_backends, run_fleet
+
+    if _resume_without_checkpoint(args):
+        return 2
     chunk_runner = None
     if args.chaos:
         from repro.testing import ChaosChunkRunner, parse_chaos_spec
@@ -328,7 +373,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         repair=not args.no_repair,
         backend=args.backend,
     )
-    progress = None
     if not args.json:
         backends = ", ".join(
             f"{name}{'' if ok else ' (unavailable)'}"
@@ -339,56 +383,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"({spec.memories} memories), backend={spec.backend} "
             f"[registered: {backends}]"
         )
-
-        def progress(done: int, total: int) -> None:
-            print(f"  {done}/{total} campaigns done", flush=True)
-
-    try:
-        report = run_fleet(
-            spec,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            progress=progress,
-            checkpoint=checkpoint,
-            resume=resume,
-            telemetry=_telemetry_requested(args),
-            retry=retry,
-            on_chunk_failure=on_chunk_failure,
-            chunk_runner=chunk_runner,
-        )
-    except CheckpointError as error:
-        print(f"checkpoint error: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        if checkpoint:
-            # Finished chunks are already on disk; tell the operator how
-            # much survived and exactly how to pick the run back up.
-            return _report_chunk_interrupt(args, checkpoint)
-        raise
-    if args.json:
-        payload = {"spec": spec.to_dict(), **report.to_json_dict()}
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(report.summary_lines()))
-        if report.telemetry is not None:
-            print("\n".join(report.telemetry.summary_lines()))
-    if report.telemetry is not None:
-        _export_telemetry(report.telemetry, args, quiet=args.json)
-    return 0
+    return _run_fleet_command(
+        args, spec, functools.partial(run_fleet, chunk_runner=chunk_runner)
+    )
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     import json
     import sys
 
-    from repro.engine import CheckpointError
     from repro.scenarios import preset_spec, run_scenario_fleet
 
-    checkpointing = _resolve_checkpoint_args(args)
-    if isinstance(checkpointing, int):
-        return checkpointing
-    checkpoint, resume = checkpointing
-    if checkpoint and args.sweep_radii:
+    if _resume_without_checkpoint(args):
+        return 2
+    if args.checkpoint and args.sweep_radii:
         print(
             "error: --checkpoint/--resume apply to single scenario fleets, "
             "not --sweep-radii matrices",
@@ -459,47 +467,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print(format_table([row.to_table_row() for row in rows]))
         return 0
 
-    progress = None
     if not args.json:
         print(
             f"scenario {spec.name!r}: {spec.campaigns} flow campaigns on "
             f"{spec.soc} ({spec.memories} memories), {spec.cluster_count} "
             f"cluster(s) r={spec.cluster_radius:g}, backend={spec.backend}"
         )
-
-        def progress(done: int, total: int) -> None:
-            print(f"  {done}/{total} campaigns done", flush=True)
-
-    retry, on_chunk_failure = _resolve_retry_args(args)
-    try:
-        report = run_scenario_fleet(
-            spec,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            progress=progress,
-            checkpoint=checkpoint,
-            resume=resume,
-            telemetry=_telemetry_requested(args),
-            retry=retry,
-            on_chunk_failure=on_chunk_failure,
-        )
-    except CheckpointError as error:
-        print(f"checkpoint error: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        if checkpoint:
-            return _report_chunk_interrupt(args, checkpoint)
-        raise
-    if args.json:
-        payload = {"spec": spec.to_dict(), **report.to_json_dict()}
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(report.summary_lines()))
-        if report.telemetry is not None:
-            print("\n".join(report.telemetry.summary_lines()))
-    if report.telemetry is not None:
-        _export_telemetry(report.telemetry, args, quiet=args.json)
-    return 0
+    return _run_fleet_command(args, spec, run_scenario_fleet)
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
@@ -509,10 +483,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.engine import CheckpointError
     from repro.streaming import StreamingMonitor, StreamingSpec
 
-    checkpointing = _resolve_checkpoint_args(args)
-    if isinstance(checkpointing, int):
-        return checkpointing
-    checkpoint, resume = checkpointing
+    if _resume_without_checkpoint(args):
+        return 2
 
     spec = StreamingSpec(
         soc=args.soc,
@@ -539,8 +511,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             workers=args.workers,
             chunk_size=args.chunk_size,
             epoch_windows=args.epoch_windows,
-            checkpoint=checkpoint,
-            resume=resume,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
             telemetry=telemetry,
             retain=args.retain,
             retry=retry,
@@ -556,7 +528,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             f"({spec.memories} memories), ~{spec.events_per_window:g} "
             f"events/window, backend={monitor.spec.backend}"
         )
-        if resume and monitor.next_window:
+        if args.resume and monitor.next_window:
             print(f"  resuming at window {monitor.next_window}")
     metrics_handle = (
         open(args.metrics_out, "w", encoding="utf-8")
@@ -592,17 +564,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if metrics_handle is not None:
             metrics_handle.close()
     if args.json:
-        payload = {
-            "spec": monitor.spec.to_dict(),
-            **monitor.aggregator.to_json_dict(),
-        }
-        if monitor.telemetry_report is not None:
-            payload["telemetry"] = monitor.telemetry_report.to_json_dict()
+        payload = {"spec": monitor.spec.to_dict(), **monitor.to_json_dict()}
         print(json.dumps(payload, indent=2))
     else:
         if interrupted:
             print("interrupted; stream stopped cleanly")
-        print("\n".join(monitor.aggregator.summary_lines()))
+        print("\n".join(monitor.summary_lines()))
         if monitor.telemetry_report is not None:
             print("\n".join(monitor.telemetry_report.summary_lines()))
     if args.trace_out and monitor.telemetry_report is not None:
@@ -611,12 +578,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         write_chrome_trace(monitor.telemetry_report, args.trace_out)
         if not args.json:
             print(f"chrome trace written to {args.trace_out}")
-    if interrupted and checkpoint:
+    if interrupted and args.checkpoint:
         # A checkpointed interrupt is resumable: report what survived
         # and how to continue, and exit with the distinct interrupt code.
         print(
             f"interrupted: {monitor.next_window} windows completed; ring "
-            f"checkpoint in {checkpoint} holds the newest state",
+            f"checkpoint in {args.checkpoint} holds the newest state",
             file=sys.stderr,
         )
         print(f"resume with: {_resume_command(args)}", file=sys.stderr)
@@ -784,7 +751,7 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry", action="store_true",
         help="collect engine spans and counters; prints a telemetry summary "
-        "(and includes a 'telemetry' document under --json)",
+        "(and includes a run.telemetry document under --json)",
     )
     parser.add_argument(
         "--trace-out", metavar="FILE", default=None,

@@ -12,15 +12,18 @@ number of campaigns.
 Zero-denominator convention (shared by the windowed streaming
 aggregates in :mod:`repro.streaming`):
 
-* **count-ratio rates** (yield, detection, escape, convergence,
-  cache-hit rates) return ``None`` when the denominator is 0 -- the rate
-  is *unknown*, and reporting 0.0 or 1.0 would bias downstream
-  aggregation of sparse windows;
+* **count-ratio rates** (yield, detection, escape, convergence) return
+  ``None`` when the denominator is 0 -- the rate is *unknown*, and
+  reporting 0.0 or 1.0 would bias downstream aggregation of sparse
+  windows;
 * **throughput over wall-clock time** (``campaigns_per_sec``,
   windows/sec) returns ``0.0`` when no time was recorded -- sub-clock
   sweeps round to "no measurable throughput" rather than dividing by
-  zero, and wall-clock fields are run metadata anyway (excluded from
-  deterministic content).
+  zero, and wall-clock fields are run metadata anyway.
+
+Every report renders as one JSON document of two parts: ``result``, the
+deterministic content a run computes (``deterministic_dict()``), and
+``run``, what the run measured (wall clock, throughput, telemetry).
 """
 
 from __future__ import annotations
@@ -77,7 +80,9 @@ class CampaignSummary(Record):
     repaired_rows: int | None = None
     repaired_cols: int | None = None
     #: Session plan-cache traffic attributed to this campaign (run-side
-    #: performance metadata; excluded from deterministic report content).
+    #: performance metadata, never checkpointed or reported).  Only
+    #: perfbench reads these fields, on pooled traced runs; reports count
+    #: the traffic through telemetry (``plan_cache.hits``/``.misses``).
     plan_cache_hits: int | None = None
     plan_cache_misses: int | None = None
 
@@ -232,6 +237,21 @@ def bucket_label(index: int) -> str:
     return f"{REDUCTION_BUCKETS[index - 1]:g}-{REDUCTION_BUCKETS[index]:g}"
 
 
+def quarantine_line(failures: list[dict], unit: str) -> str:
+    """The ``QUARANTINED`` summary line of a degraded-mode run.
+
+    ``failures`` holds one entry per quarantined chunk, each listing the
+    lost items under ``unit`` (``"campaigns"`` or ``"windows"``) and its
+    ``error_kinds``.
+    """
+    lost = sum(len(entry[unit]) for entry in failures)
+    kinds = sorted({kind for entry in failures for kind in entry["error_kinds"]})
+    return (
+        f"  QUARANTINED     : {len(failures)} chunks "
+        f"({lost} {unit} lost; {', '.join(kinds)})"
+    )
+
+
 @dataclass
 class FleetReport(Record):
     """Fleet-level statistics over many campaigns."""
@@ -269,13 +289,9 @@ class FleetReport(Record):
     repair_yield_stats: StreamingStats = field(default_factory=StreamingStats)
     repaired_rows_total: int = 0
     repaired_cols_total: int = 0
-    # Session plan-cache traffic (run metadata, like ``elapsed_s``: the
-    # counts depend on worker layout and resume state, never on results).
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
     #: Merged engine telemetry (:class:`repro.telemetry.TelemetryReport`)
     #: when the run was scheduled with telemetry enabled.  Run metadata:
-    #: excluded from ``deterministic_dict()`` and never checkpointed.
+    #: rendered under ``run``, never checkpointed.
     telemetry: object | None = None
     #: Quarantined-chunk records from a degraded-mode run
     #: (``on_chunk_failure="quarantine"``): one
@@ -329,10 +345,6 @@ class FleetReport(Record):
             self.verified_total += 1
             if summary.verification_passed:
                 self.verified_pass_count += 1
-        if summary.plan_cache_hits is not None:
-            self.plan_cache_hits += summary.plan_cache_hits
-        if summary.plan_cache_misses is not None:
-            self.plan_cache_misses += summary.plan_cache_misses
         if summary.scenario is not None:
             self.scenario_campaigns += 1
             if summary.escape_rate is not None:
@@ -372,20 +384,27 @@ class FleetReport(Record):
             return None
         return self.intermittent_detected / self.intermittent_injected
 
-    @property
-    def plan_cache_hit_rate(self) -> float | None:
-        """Fraction of session plan lookups served from the LRU cache."""
-        lookups = self.plan_cache_hits + self.plan_cache_misses
-        if lookups == 0:
-            return None
-        return self.plan_cache_hits / lookups
-
     def to_json_dict(self) -> dict:
-        """Serializable rendering for the CLI's ``--json`` mode."""
-        payload = {
-            "campaigns": self.campaigns,
+        """The CLI's ``--json`` rendering: ``result`` plus ``run`` metadata."""
+        run = {
             "elapsed_s": self.elapsed_s,
             "campaigns_per_sec": self.campaigns_per_sec,
+        }
+        if self.telemetry is not None:
+            run["telemetry"] = self.telemetry.to_json_dict()
+        return {"result": self.deterministic_dict(), "run": run}
+
+    def deterministic_dict(self) -> dict:
+        """The report's *result* content: a pure function of the spec.
+
+        Wall clock, throughput and telemetry describe the run, not the
+        fleet, and live only in :meth:`to_json_dict`'s ``run`` part.  This
+        is the payload the checkpoint/resume contract guarantees
+        byte-for-byte: a resumed run and an uninterrupted run agree on it
+        exactly.
+        """
+        payload = {
+            "campaigns": self.campaigns,
             "total_faults": self.total_faults,
             "total_failures": self.total_failures,
             "localization": self.localization.to_dict(),
@@ -400,16 +419,9 @@ class FleetReport(Record):
             "repaired_words": self.repaired_words,
             "fully_repaired_count": self.fully_repaired_count,
             "yield_rate": self.yield_rate,
-            "plan_cache": {
-                "hits": self.plan_cache_hits,
-                "misses": self.plan_cache_misses,
-                "hit_rate": self.plan_cache_hit_rate,
-            },
         }
         if self.failures:
             payload["failures"] = [dict(entry) for entry in self.failures]
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry.to_json_dict()
         if self.scenario_campaigns:
             payload["scenario"] = {
                 "campaigns": self.scenario_campaigns,
@@ -435,24 +447,6 @@ class FleetReport(Record):
                 )
                 payload["scenario"]["repaired_rows"] = self.repaired_rows_total
                 payload["scenario"]["repaired_cols"] = self.repaired_cols_total
-        return payload
-
-    def deterministic_dict(self) -> dict:
-        """The report's *result* content, without wall-clock measurements.
-
-        ``elapsed_s``/``campaigns_per_sec``/``plan_cache``/``telemetry``
-        describe the run, not the fleet (cache traffic depends on worker
-        layout and on how many chunks a resume skipped; telemetry is the
-        run's own performance measurement); everything else is a pure
-        function of the spec.  This is the payload the checkpoint/resume
-        contract guarantees byte-for-byte: a resumed run and an
-        uninterrupted run agree on it exactly.
-        """
-        payload = self.to_json_dict()
-        payload.pop("elapsed_s")
-        payload.pop("campaigns_per_sec")
-        payload.pop("plan_cache")
-        payload.pop("telemetry", None)
         return payload
 
     def canonical_json(self) -> str:
@@ -506,21 +500,8 @@ class FleetReport(Record):
                 f"  yield           : {self.yield_rate:.1%} "
                 f"({self.verified_pass_count}/{self.verified_total} verified clean)"
             )
-        if self.plan_cache_hit_rate is not None:
-            lines.append(
-                f"  plan cache      : {self.plan_cache_hit_rate:.1%} hit rate "
-                f"({self.plan_cache_hits} hits, "
-                f"{self.plan_cache_misses} misses)"
-            )
         if self.failures:
-            lost = sum(len(entry["campaigns"]) for entry in self.failures)
-            kinds = sorted(
-                {kind for entry in self.failures for kind in entry["error_kinds"]}
-            )
-            lines.append(
-                f"  QUARANTINED     : {len(self.failures)} chunks "
-                f"({lost} campaigns lost; {', '.join(kinds)})"
-            )
+            lines.append(quarantine_line(self.failures, "campaigns"))
         if self.scenario_campaigns:
             flows = f"  scenario flows  : {self.scenario_campaigns} campaigns"
             if self.retest_rounds.count:

@@ -6,10 +6,10 @@ to the same :class:`~repro.engine.aggregate.CampaignSummary` list.  The
 :class:`CheckpointStore` exploits that to make runs resumable: every
 completed chunk is persisted the moment it finishes, and a ``--resume``
 run loads finished chunks instead of recomputing them, reproducing the
-uninterrupted run's deterministic report content byte for byte (wall-clock
-fields -- ``elapsed_s``, ``campaigns_per_sec`` -- are measurements of the
-run, not results of it, and are excluded from that contract; see
-:meth:`~repro.engine.aggregate.FleetReport.deterministic_dict`).
+uninterrupted run's deterministic report content byte for byte (the
+``result`` part, :meth:`~repro.engine.aggregate.FleetReport.deterministic_dict`;
+wall-clock fields -- ``elapsed_s``, ``campaigns_per_sec`` -- measure the
+run and live in the ``run`` part, outside that contract).
 
 **Digest scheme.**  One checkpoint directory holds exactly one campaign
 identity.  The identity digest is::
@@ -84,6 +84,8 @@ def spec_digest(spec, chunk_size: int, total_chunks: int) -> str:
 #: Summary fields describing the *run* rather than its results (cache
 #: traffic depends on how warm the executing process was); persisting
 #: them would break the store's byte-for-byte reproducibility contract.
+#: They stay on :class:`~repro.engine.aggregate.CampaignSummary` only
+#: because perfbench reads them on pooled traced runs.
 _VOLATILE_SUMMARY_FIELDS = ("plan_cache_hits", "plan_cache_misses")
 
 

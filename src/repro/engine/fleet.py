@@ -393,13 +393,7 @@ class FleetScheduler:
                     self.last_failures, key=lambda f: f.chunk_index
                 )
             ]
-        if self.last_telemetry is not None:
-            # Promote the plan-cache traffic into the telemetry channel
-            # (the FleetReport fields stay as aliases for --json users).
-            counters = self.last_telemetry.counters
-            counters.add("plan_cache.hits", report.plan_cache_hits)
-            counters.add("plan_cache.misses", report.plan_cache_misses)
-            report.telemetry = self.last_telemetry
+        report.telemetry = self.last_telemetry
         return report
 
     def stream(

@@ -277,8 +277,8 @@ def session_step_plans(
     the batched tier builds each geometry bucket's plans exactly once
     from.  Lists are additionally memoized across sessions *and
     campaigns* in a process-wide LRU keyed on the algorithm's structural
-    fingerprint plus every width the plan embeds; the fleet scheduler
-    surfaces the hit rate in its report.
+    fingerprint plus every width the plan embeds.  Each lookup counts
+    ``plan_cache.hits`` or ``plan_cache.misses`` on the active tracer.
     """
     global _plan_cache_hits, _plan_cache_misses
     key = (
@@ -289,6 +289,9 @@ def session_step_plans(
         scheme.msb_first,
     )
     cached = _PLAN_CACHE.get(key)
+    tr = _tracer()
+    if tr.enabled:
+        tr.counters.add("plan_cache.misses" if cached is None else "plan_cache.hits")
     if cached is not None:
         _plan_cache_hits += 1
         _PLAN_CACHE.move_to_end(key)

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.scheme import FastDiagnosisScheme
+from repro.engine.aggregate import quarantine_line
 from repro.engine.checkpoint import RingCheckpointStore
 from repro.engine.fleet import FleetScheduler, plan_spec_backend
 from repro.engine.supervisor import ChunkRetryPolicy
@@ -379,6 +380,26 @@ class StreamingMonitor:
             "aggregator": self.aggregator.state_dict(),
             "detector": self.detector.state_dict(),
         }
+
+    def to_json_dict(self) -> dict:
+        """The ``--json`` rendering: the aggregate's ``result`` and ``run``.
+
+        Quarantined windows join ``result`` as a ``failures`` block, only
+        when there are any (as on a fleet report); telemetry joins ``run``.
+        """
+        payload = self.aggregator.to_json_dict()
+        if self.failures:
+            payload["result"]["failures"] = [dict(entry) for entry in self.failures]
+        if self.telemetry_report is not None:
+            payload["run"]["telemetry"] = self.telemetry_report.to_json_dict()
+        return payload
+
+    def summary_lines(self) -> list[str]:
+        """Human-readable summary: the aggregate plus quarantined windows."""
+        lines = self.aggregator.summary_lines()
+        if self.failures:
+            lines.append(quarantine_line(self.failures, "windows"))
+        return lines
 
     def windows(self) -> Iterator[WindowReport]:
         """Yield one :class:`WindowReport` per window, in window order.

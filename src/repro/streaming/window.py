@@ -17,7 +17,9 @@ are ``None`` when no events arrived; throughput over wall-clock time is
 Everything except ``elapsed_s`` (wall-clock run metadata) is a pure
 function of the spec and the window index -- including burst *detection*,
 which depends only on the ordered sequence of event counts and is
-restored exactly across ring-checkpoint resumes.
+restored exactly across ring-checkpoint resumes.  Each report renders as
+``{"result": deterministic_dict(), "run": {...}}``: the wall clock lives
+only under ``run``.
 """
 
 from __future__ import annotations
@@ -80,7 +82,14 @@ class WindowReport(Record):
         return self.escaped_events / self.events
 
     def to_json_dict(self) -> dict:
-        """Serializable rendering (one ``--metrics-out`` line)."""
+        """One ``--metrics-out`` line: ``result`` plus the wall clock."""
+        return {
+            "result": self.deterministic_dict(),
+            "run": {"elapsed_s": self.elapsed_s},
+        }
+
+    def deterministic_dict(self) -> dict:
+        """The window's *result* content, without wall-clock metadata."""
         return {
             "window": self.index,
             "start_ns": self.start_ns,
@@ -98,14 +107,7 @@ class WindowReport(Record):
             "burst_injected": self.burst_injected,
             "burst_detected": self.burst_detected,
             "burst_score": self.burst_score,
-            "elapsed_s": self.elapsed_s,
         }
-
-    def deterministic_dict(self) -> dict:
-        """The window's *result* content, without wall-clock metadata."""
-        payload = self.to_json_dict()
-        payload.pop("elapsed_s")
-        return payload
 
     def canonical_json(self) -> str:
         """Canonical byte-comparable rendering of the deterministic content."""
@@ -275,7 +277,17 @@ class WindowAggregator(Record):
     # Rendering / persistence                                            #
     # ------------------------------------------------------------------ #
     def to_json_dict(self) -> dict:
-        """Serializable rendering for the CLI's ``--json`` mode."""
+        """The CLI's ``--json`` rendering: ``result`` plus ``run`` metadata."""
+        return {
+            "result": self.deterministic_dict(),
+            "run": {
+                "elapsed_s": self.elapsed_s,
+                "windows_per_sec": self.windows_per_sec,
+            },
+        }
+
+    def deterministic_dict(self) -> dict:
+        """Cumulative *result* content, without wall-clock measurements."""
         return {
             "windows": self.windows,
             "empty_windows": self.empty_windows,
@@ -294,16 +306,7 @@ class WindowAggregator(Record):
             "window_detection": self.window_detection.to_dict(),
             "sweep_time_ns": self.sweep_time_ns.to_dict(),
             "recent_digests": [list(entry) for entry in self.recent_digests],
-            "elapsed_s": self.elapsed_s,
-            "windows_per_sec": self.windows_per_sec,
         }
-
-    def deterministic_dict(self) -> dict:
-        """Cumulative *result* content, without wall-clock measurements."""
-        payload = self.to_json_dict()
-        payload.pop("elapsed_s")
-        payload.pop("windows_per_sec")
-        return payload
 
     def canonical_json(self) -> str:
         """Canonical byte-comparable rendering of the deterministic content."""
@@ -388,13 +391,9 @@ class WindowAggregator(Record):
         return lines
 
 
-def validate_window_metrics(payload: dict) -> None:
-    """Schema check for one per-window metrics record (CI smoke guard).
-
-    Raises ``ValueError`` on missing keys or mistyped values; accepts
-    exactly the :meth:`WindowReport.to_json_dict` shape.
-    """
-    schema: dict[str, tuple] = {
+#: Value types of one ``--metrics-out`` line, part by part.
+_METRICS_SCHEMA: dict[str, dict[str, tuple]] = {
+    "result": {
         "window": (int,),
         "start_ns": (int, float),
         "duration_ns": (int, float),
@@ -411,20 +410,34 @@ def validate_window_metrics(payload: dict) -> None:
         "burst_injected": (bool,),
         "burst_detected": (bool,),
         "burst_score": (int, float, type(None)),
-        "elapsed_s": (int, float),
-    }
-    missing = sorted(set(schema) - set(payload))
-    if missing:
-        raise ValueError(f"window metrics record missing keys: {missing}")
-    for key, types in schema.items():
-        value = payload[key]
-        if isinstance(value, bool) and bool not in types:
-            raise ValueError(f"window metrics key {key!r} must not be bool")
-        if not isinstance(value, types):
-            raise ValueError(
-                f"window metrics key {key!r} has type {type(value).__name__}, "
-                f"expected one of {[t.__name__ for t in types]}"
-            )
+    },
+    "run": {"elapsed_s": (int, float)},
+}
+
+
+def validate_window_metrics(payload: dict) -> None:
+    """Schema check for one per-window metrics record (CI smoke guard).
+
+    Raises ``ValueError`` on a missing part or key or a mistyped value;
+    accepts exactly the :meth:`WindowReport.to_json_dict` shape.
+    """
+    for part, schema in _METRICS_SCHEMA.items():
+        section = payload.get(part)
+        if not isinstance(section, dict):
+            raise ValueError(f"window metrics record has no {part!r} object")
+        missing = sorted(set(schema) - set(section))
+        if missing:
+            raise ValueError(f"window metrics {part} missing keys: {missing}")
+        for key, types in schema.items():
+            value = section[key]
+            if isinstance(value, bool) and bool not in types:
+                raise ValueError(f"window metrics key {key!r} must not be bool")
+            if not isinstance(value, types):
+                raise ValueError(
+                    f"window metrics key {key!r} has type "
+                    f"{type(value).__name__}, expected one of "
+                    f"{[t.__name__ for t in types]}"
+                )
 
 
 def validate_window_metrics_line(line: str) -> dict:

@@ -12,9 +12,9 @@ execution stack (session -> kernels -> fleet scheduler -> bench):
 * :mod:`repro.telemetry.export` -- Chrome ``trace_event`` JSON
   (``chrome://tracing`` / Perfetto) and flat metrics JSON exporters.
 
-Telemetry is run metadata: enabling it changes no result byte -- it is
-excluded from ``FleetReport.deterministic_dict()`` and from checkpoint
-chunk files, exactly like the wall clock and the plan-cache traffic.
+Telemetry is run metadata: enabling it changes no result byte -- it
+renders under a report's ``run`` part next to the wall clock, never in
+``FleetReport.deterministic_dict()`` or in checkpoint chunk files.
 """
 
 from repro.telemetry.core import (

@@ -7,10 +7,10 @@ results; the scheduler folds them -- together with its own parent-side
 tracer -- into one :class:`TelemetryReport` attached to
 :class:`~repro.engine.aggregate.FleetReport`.
 
-The report is *run metadata*: like ``elapsed_s`` and the plan-cache
-traffic it describes how the run executed, never what it computed, so it
-is excluded from ``deterministic_dict()`` and never reaches checkpoint
-bytes.  Its headline derived view is the **per-lane attribution** of
+The report is *run metadata*: like ``elapsed_s`` it describes how the
+run executed, never what it computed, so it renders under a report's
+``run`` part, never in ``deterministic_dict()``, and never reaches
+checkpoint bytes.  Its headline derived view is the **per-lane attribution** of
 march time -- how much wall time the engine spent in the behavioural
 replay lane vs the compiled fault-table lane vs the clean block-op lane,
 and what fraction of word visits each lane carried -- the measurement the

@@ -15,7 +15,6 @@ from repro.analysis.bench import (
     engine_gate_failures,
     git_revision,
     measure_batched_fleet,
-    measure_engine_throughput,
     run_suites,
     trajectory_entry,
 )
@@ -230,15 +229,3 @@ class TestTrajectory:
         monkeypatch.setenv("PATH", "")
         entry = trajectory_entry(synthetic_payload(), "2026-08-08T00:00:00")
         assert entry["git_rev"] is None
-
-
-class TestMeasureEngineThroughput:
-    def test_records_plan_cache_hit_rate(self):
-        results = measure_engine_throughput(
-            memories=2, fleet_campaigns=2, workers=1
-        )
-        assert results["config"]["fleet_workers"] == 1
-        fleet = results["fleet"]
-        assert fleet["plan_cache_hit_rate"] is None or (
-            0.0 <= fleet["plan_cache_hit_rate"] <= 1.0
-        )

@@ -36,16 +36,6 @@ SPEC = FleetSpec(
 )
 
 
-def comparable(report: FleetReport) -> dict:
-    # Run metadata (wall clock, plan-cache traffic) varies with worker
-    # layout; only the deterministic result content is compared.
-    payload = report.to_json_dict()
-    payload.pop("elapsed_s")
-    payload.pop("campaigns_per_sec")
-    payload.pop("plan_cache")
-    return payload
-
-
 class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_seed(7, 3) == derive_seed(7, 3)
@@ -78,18 +68,18 @@ class TestSchedulerDeterminism:
     def test_inline_runs_are_reproducible(self):
         first = run_fleet(SPEC, workers=1)
         second = run_fleet(SPEC, workers=1)
-        assert comparable(first) == comparable(second)
+        assert first.deterministic_dict() == second.deterministic_dict()
         assert first.campaigns == SPEC.campaigns
 
     def test_chunk_size_does_not_change_results(self):
         whole = run_fleet(SPEC, workers=1, chunk_size=4)
         minced = run_fleet(SPEC, workers=1, chunk_size=1)
-        assert comparable(whole) == comparable(minced)
+        assert whole.deterministic_dict() == minced.deterministic_dict()
 
     def test_worker_pool_matches_inline(self):
         inline = run_fleet(SPEC, workers=1)
         pooled = run_fleet(SPEC, workers=2, chunk_size=1)
-        assert comparable(pooled) == comparable(inline)
+        assert pooled.deterministic_dict() == inline.deterministic_dict()
 
     def test_campaign_summary_independent_of_position(self):
         # The summary of campaign i depends only on (spec, i).
@@ -211,7 +201,7 @@ class TestOutOfOrderChunks:
         # reordered by the scheduler, must agree with inline execution.
         inline = run_fleet(SPEC, workers=1, chunk_size=1)
         pooled = run_fleet(SPEC, workers=3, chunk_size=1)
-        assert comparable(pooled) == comparable(inline)
+        assert pooled.deterministic_dict() == inline.deterministic_dict()
 
 
 def _boom_chunk_runner(spec, indices):
@@ -393,7 +383,7 @@ class TestFleetReport:
         report.add(self.summary(1, 90.0, True))
         report.add(self.summary(2, 500.0, False))
         report.add(self.summary(3, None, None))
-        histogram = report.to_json_dict()["reduction_histogram"]
+        histogram = report.deterministic_dict()["reduction_histogram"]
         assert histogram[bucket_label(0)] == 1  # < 10
         assert histogram[bucket_label(4)] == 1  # 75 - 100
         assert histogram[bucket_label(len(REDUCTION_BUCKETS))] == 1  # >= 300
@@ -511,13 +501,12 @@ class TestZeroDenominatorRates:
         assert report.yield_rate is None
         assert report.retest_convergence is None
         assert report.intermittent_detection_rate is None
-        assert report.plan_cache_hit_rate is None
 
     def test_empty_report_serializes_without_error(self):
         payload = FleetReport().to_json_dict()
-        assert payload["campaigns"] == 0
-        deterministic = FleetReport().deterministic_dict()
-        assert "elapsed_s" not in deterministic
+        assert payload["result"] == FleetReport().deterministic_dict()
+        assert payload["result"]["campaigns"] == 0
+        assert payload["run"] == {"elapsed_s": 0.0, "campaigns_per_sec": 0.0}
 
 
 def _first_chunk_only(stream):

@@ -17,14 +17,16 @@ import pytest
 
 from repro.core.scheme import FastDiagnosisScheme
 from repro.engine import batched
-from repro.engine.fleet import FleetSpec, run_fleet
+from repro.engine.fleet import FleetScheduler, FleetSpec, run_fleet
 from repro.engine.packing import HAVE_NUMPY
-from repro.engine.session import run_session
+from repro.engine.session import plan_cache_stats, run_session
 from repro.faults.coupling import InversionCouplingFault
 from repro.faults.stuck_at import StuckAtFault
 from repro.memory.bank import MemoryBank
 from repro.memory.geometry import CellRef, MemoryGeometry
 from repro.memory.sram import SRAM
+from repro.scenarios import ScenarioSpec, run_scenario_fleet
+from repro.streaming import StreamingMonitor, StreamingSpec
 from repro.telemetry.core import NULL_TRACER, activate, deactivate, set_tracer, tracer
 from repro.telemetry.report import TelemetryReport
 
@@ -50,6 +52,55 @@ def canonical(report) -> str:
     return json.dumps(report.deterministic_dict(), sort_keys=True)
 
 
+def _inline_traffic(run) -> tuple:
+    """Telemetry of an inline ``run`` and this process's own plan lookups."""
+    hits, misses = plan_cache_stats()
+    telemetry = run()
+    after_hits, after_misses = plan_cache_stats()
+    return telemetry.counters, (after_hits - hits, after_misses - misses)
+
+
+def _inline_fleet() -> tuple:
+    return _inline_traffic(
+        lambda: run_fleet(SPEC, workers=1, telemetry=True).telemetry
+    )
+
+
+def _pooled_fleet() -> tuple:
+    # Worker lookups never reach this process's counters; each campaign
+    # summary carries its own worker-side plan-cache delta instead.
+    scheduler = FleetScheduler(SPEC, workers=2, chunk_size=1, telemetry=True)
+    summaries = [summary for chunk in scheduler.stream() for summary in chunk]
+    expected = (
+        sum(summary.plan_cache_hits for summary in summaries),
+        sum(summary.plan_cache_misses for summary in summaries),
+    )
+    return scheduler.last_telemetry.counters, expected
+
+
+def _scenario() -> tuple:
+    spec = ScenarioSpec(memories=2, campaigns=2, master_seed=3)
+    return _inline_traffic(
+        lambda: run_scenario_fleet(spec, workers=1, telemetry=True).telemetry
+    )
+
+
+def _monitor() -> tuple:
+    monitor = StreamingMonitor(
+        StreamingSpec(memories=2, master_seed=5),
+        windows=4,
+        workers=1,
+        telemetry=True,
+    )
+
+    def run():
+        for _ in monitor.windows():
+            pass
+        return monitor.telemetry_report
+
+    return _inline_traffic(run)
+
+
 class TestDeterminismUnchanged:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_telemetry_changes_no_result_byte(self, backend):
@@ -68,9 +119,11 @@ class TestDeterminismUnchanged:
         traced = run_fleet(SPEC, workers=1, telemetry=True)
         assert plain.telemetry is None
         assert isinstance(traced.telemetry, TelemetryReport)
-        # Present in the JSON document, absent from deterministic content.
-        assert "telemetry" in traced.to_json_dict()
-        assert "telemetry" not in traced.deterministic_dict()
+        # Run metadata in the JSON document, absent from its result.
+        payload = traced.to_json_dict()
+        assert "telemetry" in payload["run"]
+        assert payload["result"] == traced.deterministic_dict()
+        assert "telemetry" not in payload["result"]
 
     def test_global_tracer_restored_after_run(self):
         run_fleet(SPEC, workers=1, telemetry=True)
@@ -123,13 +176,17 @@ class TestTelemetryContent:
             assert get(f"lane.{lane}.words") > 0
             assert get(f"lane.{lane}.ns") > 0
 
-    def test_plan_cache_promoted_with_aliases_kept(self):
-        report = run_fleet(SPEC, workers=1, telemetry=True)
-        counters = report.telemetry.counters
-        assert counters.get("plan_cache.hits") == report.plan_cache_hits
-        assert counters.get("plan_cache.misses") == report.plan_cache_misses
-        # The legacy FleetReport JSON keys survive as aliases.
-        assert "plan_cache" in report.to_json_dict()
+    @pytest.mark.parametrize(
+        "run",
+        [_inline_fleet, _pooled_fleet, _scenario, _monitor],
+        ids=["inline-fleet", "pooled-fleet", "scenario", "monitor"],
+    )
+    def test_plan_cache_traffic_counted(self, run):
+        """Every session plan lookup counts on the tracer active where it runs."""
+        counters, (hits, misses) = run()
+        assert hits + misses > 0
+        assert counters.get("plan_cache.hits") == hits
+        assert counters.get("plan_cache.misses") == misses
 
     def test_pooled_run_ships_worker_snapshots(self):
         report = run_fleet(SPEC, workers=2, chunk_size=1, telemetry=True)

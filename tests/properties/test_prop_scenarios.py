@@ -43,31 +43,21 @@ SPEC = ScenarioSpec(
 )
 
 
-def comparable(report) -> dict:
-    # Run metadata (wall clock, plan-cache traffic) varies with worker
-    # layout; only the deterministic result content is compared.
-    payload = report.to_json_dict()
-    payload.pop("elapsed_s")
-    payload.pop("campaigns_per_sec")
-    payload.pop("plan_cache")
-    return payload
-
-
 class TestWorkerCountDeterminism:
     def test_pooled_matches_inline(self):
         inline = run_scenario_fleet(SPEC, workers=1)
         pooled = run_scenario_fleet(SPEC, workers=2, chunk_size=1)
-        assert comparable(pooled) == comparable(inline)
+        assert pooled.deterministic_dict() == inline.deterministic_dict()
 
     def test_chunking_does_not_change_results(self):
         whole = run_scenario_fleet(SPEC, workers=1, chunk_size=4)
         minced = run_scenario_fleet(SPEC, workers=1, chunk_size=1)
-        assert comparable(whole) == comparable(minced)
+        assert whole.deterministic_dict() == minced.deterministic_dict()
 
     def test_three_workers_match_two(self):
         two = run_scenario_fleet(SPEC, workers=2, chunk_size=1)
         three = run_scenario_fleet(SPEC, workers=3, chunk_size=1)
-        assert comparable(two) == comparable(three)
+        assert two.deterministic_dict() == three.deterministic_dict()
 
 
 centers_strategy = st.lists(

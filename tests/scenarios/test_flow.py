@@ -168,7 +168,7 @@ class TestScenarioFleet:
         assert report.assigned_rate.count == SMALL.campaigns
         assert report.retest_convergence is not None
         assert report.intermittent_injected > 0
-        payload = report.to_json_dict()
+        payload = report.deterministic_dict()
         assert payload["scenario"]["campaigns"] == SMALL.campaigns
         text = "\n".join(report.summary_lines())
         assert "scenario flows" in text and "clustered rate" in text
@@ -180,7 +180,7 @@ class TestScenarioFleet:
             FleetSpec(memories=2, campaigns=1, defect_rate=0.004), workers=1
         )
         assert report.scenario_campaigns == 0
-        assert "scenario" not in report.to_json_dict()
+        assert "scenario" not in report.deterministic_dict()
         assert report.retest_convergence is None
         assert report.intermittent_detection_rate is None
 

@@ -26,7 +26,7 @@ class TestMonitorCommand:
     def test_json_output(self, capsys):
         assert main(["monitor", *FAST, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["windows"] == 4
+        assert payload["result"]["windows"] == 4
         assert payload["spec"]["master_seed"] == 23
 
     def test_metrics_out_lines_validate(self, tmp_path, capsys):
@@ -35,7 +35,9 @@ class TestMonitorCommand:
         capsys.readouterr()
         lines = metrics.read_text().splitlines()
         assert len(lines) == 4
-        windows = [validate_window_metrics_line(line)["window"] for line in lines]
+        windows = [
+            validate_window_metrics_line(line)["result"]["window"] for line in lines
+        ]
         assert windows == [0, 1, 2, 3]
 
     def test_total_events_sum_the_metrics_lines(self, tmp_path, capsys):
@@ -44,11 +46,13 @@ class TestMonitorCommand:
             ["monitor", *FAST, "--workers", "2", "--json",
              "--metrics-out", str(metrics)]
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
+        result = json.loads(capsys.readouterr().out)["result"]
         lines = metrics.read_text().splitlines()
-        assert payload["windows"] == len(lines) == 4
-        events = [validate_window_metrics_line(line)["events"] for line in lines]
-        assert payload["total_events"] == sum(events) > 0
+        assert result["windows"] == len(lines) == 4
+        events = [
+            validate_window_metrics_line(line)["result"]["events"] for line in lines
+        ]
+        assert result["total_events"] == sum(events) > 0
 
     def test_resume_without_checkpoint_fails(self, capsys):
         assert main(["monitor", *FAST, "--resume"]) == 2

@@ -50,12 +50,11 @@ class TestWindowReport:
     def test_deterministic_dict_drops_only_wall_clock(self):
         payload = report().to_json_dict()
         deterministic = report().deterministic_dict()
-        assert "elapsed_s" in payload
+        assert payload == {"result": deterministic, "run": {"elapsed_s": 0.01}}
         assert "elapsed_s" not in deterministic
         # Burst outcome is deterministic (count-sequence function) and
         # must stay inside the byte-compared content.
         assert "burst_detected" in deterministic
-        assert set(payload) - set(deterministic) == {"elapsed_s"}
 
     def test_digest_ignores_wall_clock(self):
         fast, slow = report(elapsed_s=0.001), report(elapsed_s=9.0)
@@ -162,23 +161,35 @@ class TestMetricsSchema:
     def test_real_report_line_validates(self):
         line = json.dumps(report().to_json_dict())
         payload = validate_window_metrics_line(line)
-        assert payload["window"] == 0
+        assert payload["result"]["window"] == 0
+        assert payload["run"] == {"elapsed_s": 0.01}
 
     def test_missing_key_rejected(self):
         payload = report().to_json_dict()
-        payload.pop("events")
-        with pytest.raises(ValueError, match="missing keys"):
+        payload["result"].pop("events")
+        with pytest.raises(ValueError, match="result missing keys"):
+            validate_window_metrics(payload)
+
+    def test_missing_wall_clock_rejected(self):
+        payload = {"result": report().deterministic_dict(), "run": {}}
+        with pytest.raises(ValueError, match="run missing keys"):
+            validate_window_metrics(payload)
+
+    def test_line_without_run_rejected(self):
+        payload = report().to_json_dict()
+        payload.pop("run")
+        with pytest.raises(ValueError, match="no 'run' object"):
             validate_window_metrics(payload)
 
     def test_bool_masquerading_as_count_rejected(self):
         payload = report().to_json_dict()
-        payload["events"] = True  # bool is an int subclass; still wrong
+        payload["result"]["events"] = True  # bool is an int subclass; still wrong
         with pytest.raises(ValueError, match="must not be bool"):
             validate_window_metrics(payload)
 
     def test_mistyped_value_rejected(self):
         payload = report().to_json_dict()
-        payload["detection_rate"] = "1.0"
+        payload["result"]["detection_rate"] = "1.0"
         with pytest.raises(ValueError, match="detection_rate"):
             validate_window_metrics(payload)
 

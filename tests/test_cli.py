@@ -251,7 +251,7 @@ class TestTelemetryFlags:
              "--chunk-size", "1", "--telemetry", "--json",
              "--trace-out", str(trace), "--metrics-out", str(metrics)]
         ) == 0
-        assert "telemetry" in json.loads(capsys.readouterr().out)
+        assert "telemetry" in json.loads(capsys.readouterr().out)["run"]
         # Loadable by chrome://tracing / Perfetto: timestamps sorted and
         # every B closed by its E in strict nesting per (pid, tid) track.
         events = json.loads(trace.read_text())["traceEvents"]
@@ -285,7 +285,8 @@ class TestTelemetryFlags:
              "--defect-rate", "0.004", "--json", "--trace-out", str(trace)]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "telemetry" in payload
+        assert "telemetry" in payload["run"]
+        assert "telemetry" not in payload["result"]
         assert trace.exists()
 
     def test_scenario_telemetry_summary(self, capsys):
@@ -311,3 +312,74 @@ class TestTelemetryFlags:
         assert flat["span_stats"]["ecc.decode"]["count"] > 0
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(event["name"] == "ecc.decode" for event in events)
+
+
+def _json_keys(document) -> set:
+    """Every object key anywhere in a parsed JSON document."""
+    if isinstance(document, dict):
+        return set(document).union(*map(_json_keys, document.values()))
+    if isinstance(document, list):
+        return set().union(*map(_json_keys, document))
+    return set()
+
+
+def _fleet_case():
+    from repro.engine.fleet import FleetSpec, run_fleet
+
+    spec = FleetSpec(memories=2, campaigns=2, defect_rate=0.004, master_seed=3)
+    return (
+        ["fleet", "--memories", "2", "--campaigns", "2",
+         "--defect-rate", "0.004", "--seed", "3"],
+        spec,
+        run_fleet(spec, workers=1).deterministic_dict(),
+        {"elapsed_s", "campaigns_per_sec"},
+    )
+
+
+def _scenario_case():
+    from repro.scenarios import preset_spec, run_scenario_fleet
+
+    spec = preset_spec(
+        "clustered", memories=2, campaigns=2, master_seed=3,
+        spares_per_memory=32, backend="auto", max_retest_rounds=3,
+    )
+    return (
+        ["scenario", "--memories", "2", "--campaigns", "2", "--seed", "3"],
+        spec,
+        run_scenario_fleet(spec, workers=1).deterministic_dict(),
+        {"elapsed_s", "campaigns_per_sec"},
+    )
+
+
+def _monitor_case():
+    from repro.streaming import StreamingSpec, run_monitor
+
+    spec = StreamingSpec(memories=2, master_seed=3)
+    return (
+        ["monitor", "--memories", "2", "--windows", "4", "--seed", "3"],
+        spec,
+        run_monitor(spec, windows=4, workers=1).deterministic_dict(),
+        {"elapsed_s", "windows_per_sec"},
+    )
+
+
+class TestJsonDocumentShape:
+    """``fleet``, ``scenario`` and ``monitor`` print one document shape:
+    the spec, the report's deterministic ``result`` and the ``run``."""
+
+    @pytest.mark.parametrize(
+        "case", [_fleet_case, _scenario_case, _monitor_case],
+        ids=["fleet", "scenario", "monitor"],
+    )
+    def test_spec_result_and_run(self, capsys, case):
+        import json
+
+        argv, spec, result, run_keys = case()
+        assert main([*argv, "--workers", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"spec", "result", "run"}
+        # The CLI ran the same inputs the library call above did.
+        assert payload["spec"] == json.loads(json.dumps(spec.to_dict()))
+        assert payload["result"] == json.loads(json.dumps(result))
+        assert set(payload["run"]) == run_keys
+        assert not any("plan_cache" in key for key in _json_keys(payload))

@@ -9,6 +9,7 @@ import pytest
 
 import repro.engine
 import repro.streaming
+import repro.streaming.monitor
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.testing import ChaosSpec, corrupt_checkpoint_chunks
 
@@ -23,12 +24,6 @@ MONITOR_FAST = [
 ]
 
 
-def _comparable(payload: dict) -> dict:
-    for volatile in ("elapsed_s", "campaigns_per_sec", "plan_cache", "telemetry"):
-        payload.pop(volatile, None)
-    return payload
-
-
 class TestChaosFlag:
     def test_chaos_run_recovers_and_matches_plain(self, capsys):
         assert main(["fleet", *FAST, "--json"]) == 0
@@ -39,7 +34,7 @@ class TestChaosFlag:
             "--max-retries", "2",
         ]) == 0
         chaotic = json.loads(capsys.readouterr().out)
-        assert _comparable(chaotic) == _comparable(plain)
+        assert chaotic["result"] == plain["result"]
 
     def test_quarantine_reports_failures_block(self, capsys):
         assert main([
@@ -47,10 +42,10 @@ class TestChaosFlag:
             "--chaos", "seed=3,exception=1.0,max_faults=99",
             "--max-retries", "1", "--on-chunk-failure", "quarantine",
         ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["campaigns"] == 0
-        assert len(payload["failures"]) == 6
-        assert payload["failures"][0]["error_kinds"] == [
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["campaigns"] == 0
+        assert len(result["failures"]) == 6
+        assert result["failures"][0]["error_kinds"] == [
             "exception", "exception"
         ]
 
@@ -90,7 +85,7 @@ class TestChaosRoundTrip:
 
     def _fleet(self, capsys, *extra) -> dict:
         assert main(["fleet", *self.ROUND_TRIP, *extra]) == 0
-        return _comparable(json.loads(capsys.readouterr().out))
+        return json.loads(capsys.readouterr().out)["result"]
 
     def test_chaos_run_and_corrupted_resume_match_plain(self, tmp_path, capsys):
         store = tmp_path / "ckpt-chaos"
@@ -125,6 +120,36 @@ class TestChaosRoundTrip:
         assert fleet["quarantined"] == 0, fleet
         recovered = json.loads(resumed_metrics.read_text())["fleet"]
         assert recovered["chunks_recovered"] >= 1, recovered
+
+
+class TestMonitorQuarantine:
+    def test_quarantined_window_reaches_result_and_summary(
+        self, capsys, monkeypatch
+    ):
+        real = repro.streaming.monitor.run_window_chunk
+
+        def fail_window_2(epoch, indices):
+            if any(epoch.base_window + local == 2 for local in indices):
+                raise RuntimeError("window 2 sweep failed")
+            return real(epoch, indices)
+
+        monkeypatch.setattr(
+            repro.streaming.monitor, "run_window_chunk", fail_window_2
+        )
+        argv = [
+            "monitor", *MONITOR_FAST, "--workers", "1", "--chunk-size", "1",
+            "--on-chunk-failure", "quarantine", "--max-retries", "0",
+        ]
+        assert main([*argv, "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["windows"] == 3
+        assert result["failures"] == [
+            {"windows": [2], "error_kinds": ["exception"]}
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "stream: 3 windows" in out
+        assert "QUARANTINED     : 1 chunks (1 windows lost; exception)" in out
 
 
 class TestRetryFlags:

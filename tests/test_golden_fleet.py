@@ -79,16 +79,6 @@ def payload_of(capsys) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def strip_timing(payload: dict) -> dict:
-    return {
-        key: value
-        for key, value in payload.items()
-        # Run metadata: wall clock and plan-cache traffic are not part of
-        # the deterministic report contract.
-        if key not in ("elapsed_s", "campaigns_per_sec", "plan_cache")
-    }
-
-
 class TestFleetCliBatched:
     def test_batched_backend_json_matches_golden_report(self, capsys, update_golden):
         if update_golden:
@@ -97,17 +87,18 @@ class TestFleetCliBatched:
         payload = payload_of(capsys)
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert payload["spec"] == golden["spec"]
-        assert strip_timing(payload) == {"spec": golden["spec"], **golden["report"]}
+        assert payload["result"] == golden["report"]
 
     def test_json_shape_has_fleet_sections(self, capsys):
         assert main(fleet_argv("--backend", "batched")) == 0
         payload = payload_of(capsys)
+        assert set(payload) == {"spec", "result", "run"}
+        assert set(payload["run"]) == {"elapsed_s", "campaigns_per_sec"}
         for key in (
-            "spec", "campaigns", "elapsed_s", "campaigns_per_sec",
-            "localization", "reduction_factor", "reduction_histogram",
-            "repaired_words", "yield_rate",
+            "campaigns", "localization", "reduction_factor",
+            "reduction_histogram", "repaired_words", "yield_rate",
         ):
-            assert key in payload, key
+            assert key in payload["result"], key
         assert payload["spec"]["backend"] == "batched"
 
 
@@ -122,7 +113,7 @@ class TestFleetCliResume:
             fleet_argv("--backend", "batched", "--checkpoint", store, "--resume")
         ) == 0
         second = payload_of(capsys)
-        assert strip_timing(first) == strip_timing(second)
+        assert first["result"] == second["result"]
         assert (tmp_path / "ckpt" / "manifest.json").exists()
 
     def test_resume_without_checkpoint_is_exit_2(self, capsys):
@@ -154,7 +145,7 @@ class TestFleetCliResume:
         first = payload_of(capsys)
         assert main(argv + ["--resume"]) == 0
         second = payload_of(capsys)
-        assert strip_timing(first) == strip_timing(second)
+        assert first["result"] == second["result"]
 
     def test_scenario_resume_without_checkpoint_is_exit_2(self, capsys):
         assert main(
@@ -173,12 +164,9 @@ class TestFleetCliResume:
 
 
 def backend_free(payload: dict) -> dict:
-    """A fleet payload minus run metadata and the backend it ran on."""
-    payload = strip_timing(payload)
-    payload["spec"] = {
-        key: value for key, value in payload["spec"].items() if key != "backend"
-    }
-    return payload
+    """A fleet payload's spec and result, minus the backend it ran on."""
+    spec = {key: value for key, value in payload["spec"].items() if key != "backend"}
+    return {"spec": spec, "result": payload["result"]}
 
 
 class TestFleetCliParity:
@@ -212,4 +200,4 @@ class TestFleetCliParity:
         reference = payloads["reference"]
         assert payloads["numpy"] == reference
         assert payloads["batched"] == reference
-        assert reference["total_failures"] > 0
+        assert reference["result"]["total_failures"] > 0

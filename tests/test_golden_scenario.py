@@ -154,8 +154,9 @@ class TestScenarioCli:
         assert main([*self.ARGS, "--backend", backend, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["spec"]["backend"] == backend
-        assert payload["campaigns"] == 1
-        scenario = payload["scenario"]
+        result = payload["result"]
+        assert result["campaigns"] == 1
+        scenario = result["scenario"]
         assert scenario["campaigns"] == 1
         for key in (
             "escape_rate",
@@ -169,17 +170,15 @@ class TestScenarioCli:
             assert key in scenario
         assert scenario["intermittent_injected"] > 0
         # Measured R under clustering rides along in the fleet block.
-        assert payload["reduction_factor"]["mean"] > 1.0
+        assert result["reduction_factor"]["mean"] > 1.0
 
     def test_backends_agree_on_localization_payload(self, capsys):
         payloads = []
         for backend in ("reference", "numpy"):
             assert main([*self.ARGS, "--backend", backend, "--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
-            payload.pop("elapsed_s")
-            payload.pop("campaigns_per_sec")
             payload["spec"].pop("backend")
-            payloads.append(payload)
+            payloads.append({"spec": payload["spec"], "result": payload["result"]})
         assert payloads[0] == payloads[1]
 
     def test_two_flows_agree_across_backends(self, capsys):
@@ -198,13 +197,10 @@ class TestScenarioCli:
         for backend in ("reference", "numpy"):
             assert main([*args, "--backend", backend]) == 0
             payload = json.loads(capsys.readouterr().out)
-            payload.pop("elapsed_s")
-            payload.pop("campaigns_per_sec")
-            payload.pop("plan_cache")  # run metadata, like the wall clock
             payload["spec"].pop("backend")
-            payloads.append(payload)
+            payloads.append({"spec": payload["spec"], "result": payload["result"]})
         assert payloads[0] == payloads[1], "scenario backends diverged"
-        assert payloads[1]["scenario"]["campaigns"] == 2
+        assert payloads[1]["result"]["scenario"]["campaigns"] == 2
 
     def test_text_mode_prints_scenario_lines(self, capsys):
         assert main([*self.ARGS]) == 0
@@ -284,7 +280,7 @@ class TestEccBisrCli:
         assert payload["spec"]["ecc"] == "secded"
         assert payload["spec"]["spare_rows"] == 4
         assert payload["spec"]["spare_cols"] == 2
-        scenario = payload["scenario"]
+        scenario = payload["result"]["scenario"]
         ecc = scenario["ecc"]
         assert ecc["campaigns"] == 1
         assert ecc["corrected_reads"] > 0
@@ -296,7 +292,7 @@ class TestEccBisrCli:
     def test_raw_run_omits_the_ecc_block(self, capsys):
         args = [a for a in self.ARGS if a not in ("--ecc", "secded")]
         assert main([*args, "--json"]) == 0
-        scenario = json.loads(capsys.readouterr().out)["scenario"]
+        scenario = json.loads(capsys.readouterr().out)["result"]["scenario"]
         assert "ecc" not in scenario
 
     def test_text_mode_prints_the_diagnosis_gap(self, capsys):
@@ -310,10 +306,8 @@ class TestEccBisrCli:
         for backend in ("reference", "numpy", "batched"):
             assert main([*self.ARGS, "--backend", backend, "--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
-            payload.pop("elapsed_s")
-            payload.pop("campaigns_per_sec")
             payload["spec"].pop("backend")
-            payloads.append(payload)
+            payloads.append({"spec": payload["spec"], "result": payload["result"]})
         assert payloads[0] == payloads[1] == payloads[2]
 
     def test_preset_rates_agree_across_backends_over_two_campaigns(self, capsys):
@@ -335,12 +329,10 @@ class TestEccBisrCli:
         for backend in ("reference", "numpy", "batched"):
             assert main([*args, "--backend", backend]) == 0
             payload = json.loads(capsys.readouterr().out)
-            for key in ("elapsed_s", "campaigns_per_sec", "plan_cache"):
-                payload.pop(key)
             payload["spec"].pop("backend")
-            payloads.append(payload)
+            payloads.append({"spec": payload["spec"], "result": payload["result"]})
         assert payloads[0] == payloads[1] == payloads[2]
-        scenario = payloads[0]["scenario"]
+        scenario = payloads[0]["result"]["scenario"]
         ecc = scenario["ecc"]
         assert ecc["campaigns"] == 2
         assert ecc["corrected_reads"] > 0
